@@ -150,105 +150,133 @@ let make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events ~sample_every =
         Probe.seed_toggle probe ~time:now ~up);
   t
 
+(* One event loop: a handle, its model, its generator and its sampled
+   phase timers — [drive]'s whole run, or one shard of [drive_sharded].
+   The timers sample 1-in-256 so two clock reads never ride every event;
+   with hists off each tick/tock is a dead branch. *)
+type loop = {
+  h : t;
+  m : model;
+  rng : Rng.t;
+  rate_tm : Hist.timer;
+  apply_tm : Hist.timer;
+  sched_tm : Hist.timer;
+}
+
+let loop ~name h m rng =
+  let hists = h.probe.Probe.hists in
+  {
+    h;
+    m;
+    rng;
+    rate_tm = Hist.timer (Hist.get hists (name ^ "/total_rate"));
+    apply_tm = Hist.timer (Hist.get hists (name ^ "/apply"));
+    sched_tm = Hist.timer (Hist.get hists (name ^ "/scheduled"));
+  }
+
+(* The exponential race, bounded by [until] ([drive]: the horizon; a
+   shard: its window end).  Returns with the clock at [until], or
+   earlier when the model requested a stop.  Spending the event budget
+   freezes the state ([truncated]): the rest of this call and every
+   later one only walk the sampling grid.  The time-average is left
+   open for the caller to close. *)
+let race l ~until =
+  let t = l.h and m = l.m and rng = l.rng in
+  if t.truncated then begin
+    record_samples_through t m until;
+    t.clock <- until
+  end
+  else begin
+    let c = t.counters in
+    (* Stage the model's closures into locals once: the loop below calls
+       them hundreds of millions of times, and a staged closure call is
+       one indirect jump where [m.total_rate ()] is a field load plus an
+       indirect jump per event. *)
+    let total_rate = m.total_rate in
+    let apply = m.apply in
+    let next_scheduled = m.next_scheduled in
+    let do_scheduled = m.scheduled in
+    let rate_tm = l.rate_tm and apply_tm = l.apply_tm and sched_tm = l.sched_tm in
+    let frun = t.frun in
+    let budget = t.max_events in
+    let running = ref true in
+    while !running do
+      let rate_t0 = Hist.tick rate_tm in
+      let total = total_rate () in
+      Hist.tock rate_tm rate_t0;
+      (* An idle model (an emptied shard, a dried-up swarm) never fires:
+         its next event is at infinity. *)
+      let dt = if total > 0.0 then Dist.exponential rng ~rate:total else infinity in
+      let t_next = t.clock +. dt in
+      let sched = next_scheduled () in
+      let toggle = Faults.next_toggle frun in
+      if toggle <= t_next && toggle <= until && toggle <= sched && c.events < budget then begin
+        (* The outage flips before the next event: advance to the toggle
+           and redraw — valid by memorylessness of the exponential race.
+           Budget-gated so an exhausted run truncates instead of walking
+           the rest of the outage schedule. *)
+        record_samples_through t m toggle;
+        t.clock <- toggle;
+        Faults.toggle frun ~now:toggle
+      end
+      else if sched <= t_next && sched <= until then begin
+        (* A scheduled event (dwell expiry) beats the race: a time
+           barrier, like the toggle, but it consumes event budget. *)
+        record_samples_through t m sched;
+        t.clock <- sched;
+        c.events <- c.events + 1;
+        let s_t0 = Hist.tick sched_tm in
+        do_scheduled ~time:sched;
+        Hist.tock sched_tm s_t0;
+        if t.stop_requested then running := false
+      end
+      else if t_next > until || c.events >= budget then begin
+        (* Past [until], or the event budget ran out before it: then the
+           state is frozen from the clock on, which biases every
+           time-based statistic.  Record that instead of truncating
+           silently. *)
+        if t_next <= until then t.truncated <- true;
+        record_samples_through t m until;
+        t.clock <- until;
+        running := false
+      end
+      else begin
+        (* Inline grid guard: [record_samples_through] is a no-op unless a
+           sample or probe point falls before this event, so the common
+           event skips the call (and its two grid-walk loops) entirely.
+           Equivalent because both inner loops test the same bounds. *)
+        if t.next_sample <= t_next || (t.probing && t.next_probe <= t_next) then
+          record_samples_through t m t_next;
+        t.clock <- t_next;
+        c.events <- c.events + 1;
+        let u = Rng.float rng *. total in
+        let a_t0 = Hist.tick apply_tm in
+        apply ~time:t_next ~u;
+        Hist.tock apply_tm a_t0;
+        if t.stop_requested then running := false
+      end
+    done
+  end
+
+let default_grid horizon = Float.max (horizon /. 200.0) 1e-9
+
 let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resume = fresh)
     ~name ~rng ~faults ~horizon build =
   let prof = probe.Probe.profile in
   let setup_span = Profile.start prof (name ^ "/setup") in
-  let sample_every =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
-  in
+  let sample_every = Option.value sample_every ~default:(default_grid horizon) in
   let t = make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events ~sample_every in
   let model, extra = build t in
   record_samples_through t model t.start_time;
   Profile.stop setup_span;
   let loop_span = Profile.start prof (name ^ "/event-loop") in
-  (* Per-phase monotonic-clock attribution (ROADMAP items 1-2 need the
-     split between rate recomputation and event application).  The
-     timers sample 1-in-32 so two clock reads never ride every event;
-     with hists off each tick/tock is a dead branch. *)
-  let hists = probe.Probe.hists in
-  let rate_tm = Hist.timer (Hist.get hists (name ^ "/total_rate")) in
-  let apply_tm = Hist.timer (Hist.get hists (name ^ "/apply")) in
-  let sched_tm = Hist.timer (Hist.get hists (name ^ "/scheduled")) in
-  let c = t.counters in
-  (* Stage the model's closures into locals once: the loop below calls
-     them hundreds of millions of times, and a staged closure call is one
-     indirect jump where [model.total_rate ()] is a field load plus an
-     indirect jump per event. *)
-  let total_rate = model.total_rate in
-  let apply = model.apply in
-  let next_scheduled = model.next_scheduled in
-  let do_scheduled = model.scheduled in
-  let frun = t.frun in
-  let running = ref true in
-  while !running do
-    let rate_t0 = Hist.tick rate_tm in
-    let total = total_rate () in
-    Hist.tock rate_tm rate_t0;
-    let dt = Dist.exponential rng ~rate:total in
-    let t_next = t.clock +. dt in
-    let sched = next_scheduled () in
-    let toggle = Faults.next_toggle frun in
-    if toggle <= t_next && toggle <= horizon && toggle <= sched && c.events < max_events
-    then begin
-      (* The outage flips before the next event: advance to the toggle
-         and redraw — valid by memorylessness of the exponential race.
-         Budget-gated so an exhausted run truncates instead of walking
-         the rest of the outage schedule. *)
-      record_samples_through t model toggle;
-      t.clock <- toggle;
-      Faults.toggle t.frun ~now:toggle
-    end
-    else if sched <= t_next && sched <= horizon then begin
-      (* A scheduled event (dwell expiry) beats the race: a time
-         barrier, like the toggle, but it consumes event budget. *)
-      record_samples_through t model sched;
-      t.clock <- sched;
-      c.events <- c.events + 1;
-      let s_t0 = Hist.tick sched_tm in
-      do_scheduled ~time:sched;
-      Hist.tock sched_tm s_t0;
-      if t.stop_requested then begin
-        Timeavg.close t.avg ~time:t.clock;
-        model.finish ~time:t.clock;
-        running := false
-      end
-    end
-    else if t_next > horizon || c.events >= max_events then begin
-      (* The event budget ran out before the horizon: the state is
-         frozen from the clock to the horizon, which biases every
-         time-based statistic.  Record that instead of truncating
-         silently. *)
-      if t_next <= horizon then t.truncated <- true;
-      record_samples_through t model horizon;
-      Timeavg.close t.avg ~time:horizon;
-      model.finish ~time:horizon;
-      t.clock <- horizon;
-      running := false
-    end
-    else begin
-      (* Inline grid guard: [record_samples_through] is a no-op unless a
-         sample or probe point falls before this event, so the common
-         event skips the call (and its two grid-walk loops) entirely.
-         Equivalent because both inner loops test the same bounds. *)
-      if t.next_sample <= t_next || (t.probing && t.next_probe <= t_next) then
-        record_samples_through t model t_next;
-      t.clock <- t_next;
-      c.events <- c.events + 1;
-      let u = Rng.float rng *. total in
-      let a_t0 = Hist.tick apply_tm in
-      apply ~time:t_next ~u;
-      Hist.tock apply_tm a_t0;
-      if t.stop_requested then begin
-        Timeavg.close t.avg ~time:t.clock;
-        model.finish ~time:t.clock;
-        running := false
-      end
-    end
-  done;
+  race (loop ~name t model rng) ~until:horizon;
+  Timeavg.close t.avg ~time:t.clock;
+  model.finish ~time:t.clock;
   Profile.stop loop_span;
   let finish_span = Profile.start prof (name ^ "/finalise") in
   Faults.finish t.frun ~now:t.clock;
+  let c = t.counters in
   let stats =
     {
       final_time = t.clock;
@@ -273,16 +301,16 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
 
 (* ------------------------------------------------------------------ *)
 (* The sharded driver: one logical swarm split across [nshards] local
-   event loops, synchronised by windows.  Each shard owns a handle
-   ([t]), a generator split off the caller's rng in shard order, and a
-   model; within a window it runs the same exponential race as [drive],
-   bounded by the window end instead of the horizon.  Contacts whose
-   downloader lives elsewhere become messages; at the window barrier the
-   main domain delivers all of them in [(shard_id, seq)] order — outbox
-   concatenation in shard order, each outbox in send order — then every
-   shard refreshes its snapshot of the others' populations.  Windows
-   ending at the window boundary rather than at the message's origin
-   time is the approximation knob: shrinking [sync_every] tightens it.
+   event loops, synchronised by windows.  Each shard owns a handle, a
+   generator split off the caller's rng in shard order, and a model;
+   within a window it runs [race] bounded by the window end instead of
+   the horizon.  Contacts whose downloader lives elsewhere become
+   messages; at the window barrier the main domain delivers all of them
+   in [(shard_id, seq)] order — outbox concatenation in shard order,
+   each outbox in send order — then every shard refreshes its snapshot
+   of the others' populations.  Windows ending at the window boundary
+   rather than at the message's origin time is the approximation knob:
+   shrinking [sync_every] tightens it.
 
    Determinism: shard streams are split from [rng] in shard order at
    startup; within a window a shard touches only its own slot; the
@@ -311,89 +339,21 @@ type sharded_stats = {
 }
 
 type 'msg shard_slot = {
-  sl_handle : t;
-  sl_rng : Rng.t;
+  sl_loop : loop;
   sl_model : 'msg shard_model;
   sl_outbox : (float * int * 'msg) Vec.t;  (** (send time, dst, msg) in seq order *)
-  mutable sl_frozen : bool;  (** event budget spent: state frozen, grid still walks *)
 }
 
-(* One shard's slice of one window: the [drive] loop bounded by [until]
-   instead of the horizon, without closing the time-average (the run
-   continues next window).  Touches only [slot]-owned data, so windows
-   of distinct shards run on distinct domains with no synchronisation. *)
-let run_shard_window slot ~until =
-  let t = slot.sl_handle in
-  let m = slot.sl_model.sh_model in
-  if slot.sl_frozen then begin
-    (* Budget exhausted in an earlier window: the state is frozen but
-       the sampling grid still advances, as in [drive]'s truncation. *)
-    record_samples_through t m until;
-    t.clock <- until
-  end
-  else begin
-    let rng = slot.sl_rng in
-    let c = t.counters in
-    let total_rate = m.total_rate in
-    let apply = m.apply in
-    let next_scheduled = m.next_scheduled in
-    let do_scheduled = m.scheduled in
-    let frun = t.frun in
-    let budget = t.max_events in
-    let running = ref true in
-    while !running do
-      let total = total_rate () in
-      (* A shard can legitimately idle (empty shard of a dried-up swarm):
-         treat a zero rate as an infinitely distant next event. *)
-      let dt = if total > 0.0 then Dist.exponential rng ~rate:total else infinity in
-      let t_next = t.clock +. dt in
-      let sched = next_scheduled () in
-      let toggle = Faults.next_toggle frun in
-      if toggle <= t_next && toggle <= until && toggle <= sched && c.events < budget then begin
-        record_samples_through t m toggle;
-        t.clock <- toggle;
-        Faults.toggle frun ~now:toggle
-      end
-      else if sched <= t_next && sched <= until then begin
-        record_samples_through t m sched;
-        t.clock <- sched;
-        c.events <- c.events + 1;
-        do_scheduled ~time:sched
-      end
-      else if t_next > until || c.events >= budget then begin
-        if t_next <= until then begin
-          (* Budget ran out before the window end: freeze this shard for
-             the rest of the run, like [drive]'s truncation. *)
-          t.truncated <- true;
-          slot.sl_frozen <- true
-        end;
-        record_samples_through t m until;
-        t.clock <- until;
-        running := false
-      end
-      else begin
-        if t.next_sample <= t_next || (t.probing && t.next_probe <= t_next) then
-          record_samples_through t m t_next;
-        t.clock <- t_next;
-        c.events <- c.events + 1;
-        let u = Rng.float rng *. total in
-        apply ~time:t_next ~u
-      end
-    done
-  end
-
 let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 200_000_000)
-    ?sync_every ?(jobs = 1) ?should_stop ~name:_ ~rng ~faults ~horizon ~nshards build =
+    ?sync_every ?(jobs = 1) ?should_stop ~name ~rng ~faults ~horizon ~nshards build =
   if nshards < 2 then
     invalid_arg "Engine.drive_sharded: nshards must be >= 2 (1 shard = the unsharded engine)";
-  let sample_every =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
-  in
+  let sample_every = Option.value sample_every ~default:(default_grid horizon) in
   let sync_every =
     match sync_every with
     | Some dt when dt > 0.0 -> dt
     | Some dt -> invalid_arg (Printf.sprintf "Engine.drive_sharded: sync_every %g <= 0" dt)
-    | None -> Float.max (horizon /. 200.0) 1e-9
+    | None -> default_grid horizon
   in
   let budget = (max_events + nshards - 1) / nshards in
   (* The outage clockwork belongs to shard 0, where the fixed seed
@@ -421,13 +381,13 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
           Vec.push outboxes.(i) (time, dst, msg)
         in
         let sm, extra = build ~shard:i ~rng:rngs.(i) ~send handles.(i) in
-        ( { sl_handle = handles.(i); sl_rng = rngs.(i); sl_model = sm;
-            sl_outbox = outboxes.(i); sl_frozen = false },
+        ( { sl_loop = loop ~name handles.(i) sm.sh_model rngs.(i); sl_model = sm;
+            sl_outbox = outboxes.(i) },
           extra ))
   in
   let slots = Array.map fst slots_and_extras in
   let extras = Array.map snd slots_and_extras in
-  Array.iter (fun s -> record_samples_through s.sl_handle s.sl_model.sh_model s.sl_handle.start_time) slots;
+  Array.iter (fun s -> record_samples_through s.sl_loop.h s.sl_loop.m s.sl_loop.h.start_time) slots;
   let populations = Array.make nshards 0 in
   let windows = ref 0 in
   let stopped = ref false in
@@ -437,7 +397,7 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
   let continue_ = ref true in
   while !continue_ do
     let wend = Float.min horizon (sync_every *. float_of_int !w) in
-    Pool.run ~jobs nshards (fun i -> run_shard_window slots.(i) ~until:wend);
+    Pool.run ~jobs nshards (fun i -> race slots.(i).sl_loop ~until:wend);
     (* Deliver cross-shard messages in (shard_id, seq) order: outbox
        concatenation in shard order, each outbox already in send order.
        Delivery consumes one receiver event per message. *)
@@ -448,13 +408,14 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
           let _t_sent, dst, msg = Vec.get ob j in
           incr messages;
           let d = slots.(dst) in
-          d.sl_handle.counters.events <- d.sl_handle.counters.events + 1;
+          let dc = d.sl_loop.h.counters in
+          dc.events <- dc.events + 1;
           d.sl_model.sh_deliver ~time:wend ~src msg
         done;
         Vec.clear ob)
       slots;
     incr windows;
-    Array.iteri (fun i s -> populations.(i) <- s.sl_model.sh_model.population ()) slots;
+    Array.iteri (fun i s -> populations.(i) <- s.sl_loop.m.population ()) slots;
     Array.iter (fun s -> s.sl_model.sh_sync ~time:wend ~populations) slots;
     (match should_stop with
     | Some f when f () ->
@@ -464,18 +425,21 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
     | _ -> if wend >= horizon then continue_ := false else incr w)
   done;
   let tend = !final_time in
+  let handles = Array.map (fun s -> s.sl_loop.h) slots in
   Array.iter
     (fun s ->
-      Timeavg.close s.sl_handle.avg ~time:tend;
-      s.sl_model.sh_model.finish ~time:tend;
-      Faults.finish s.sl_handle.frun ~now:tend)
+      let h = s.sl_loop.h in
+      Timeavg.close h.avg ~time:tend;
+      s.sl_loop.m.finish ~time:tend;
+      Faults.finish h.frun ~now:tend)
     slots;
   (* Merge.  Every shard walked the same sampling grid from 0 to the
      final time, so the per-shard sample arrays are pointwise summable;
-     the population time-average is linear in the shard decomposition;
-     max_n is taken over the summed grid (plus the final state), so it
-     is exact on grid points and a lower bound between them. *)
-  let per_samples = Array.map (fun s -> Vec.to_array s.sl_handle.samples) slots in
+     the population time-average is linear in the shard decomposition.
+     max_n is a lower bound on the global peak: the larger of the summed
+     grid's maximum (plus the final state) and every shard's own
+     per-event maximum. *)
+  let per_samples = Array.map (fun (h : t) -> Vec.to_array h.samples) handles in
   let grid_len = Array.length per_samples.(0) in
   Array.iter
     (fun a -> if Array.length a <> grid_len then failwith "Engine.drive_sharded: ragged sample grids")
@@ -487,10 +451,11 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
         Array.iter (fun a -> n := !n + snd a.(g)) per_samples;
         (tg, !n))
   in
-  let sum f = Array.fold_left (fun acc s -> acc + f s.sl_handle.counters) 0 slots in
-  let final_ns = Array.map (fun s -> s.sl_model.sh_model.population ()) slots in
+  let sum f = Array.fold_left (fun acc h -> acc + f h.counters) 0 handles in
+  let final_ns = Array.map (fun s -> s.sl_loop.m.population ()) slots in
   let final_n = Array.fold_left ( + ) 0 final_ns in
-  let max_n = Array.fold_left (fun m (_, n) -> Int.max m n) final_n samples in
+  let grid_max = Array.fold_left (fun m (_, n) -> Int.max m n) final_n samples in
+  let max_n = Array.fold_left (fun m h -> Int.max m h.counters.max_n) grid_max handles in
   let stats =
     {
       final_time = tend;
@@ -499,12 +464,12 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
       transfers = sum (fun c -> c.transfers);
       completions = sum (fun c -> c.completions);
       departures = sum (fun c -> c.departures);
-      time_avg_n = Array.fold_left (fun acc s -> acc +. Timeavg.average s.sl_handle.avg) 0.0 slots;
+      time_avg_n = Array.fold_left (fun acc h -> acc +. Timeavg.average h.avg) 0.0 handles;
       max_n;
       final_n;
-      truncated = Array.exists (fun s -> s.sl_handle.truncated) slots;
+      truncated = Array.exists (fun (h : t) -> h.truncated) handles;
       stopped = !stopped;
-      outage_time = Faults.outage_time slots.(0).sl_handle.frun;
+      outage_time = Faults.outage_time handles.(0).frun;
       aborted_peers = sum (fun c -> c.aborted);
       lost_transfers = sum (fun c -> c.lost);
       samples;
@@ -512,7 +477,7 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
   in
   ( {
       sh_stats = stats;
-      sh_events = Array.map (fun s -> s.sl_handle.counters.events) slots;
+      sh_events = Array.map (fun h -> h.counters.events) handles;
       sh_final_n = final_ns;
       sh_messages = !messages;
       sh_windows = !windows;

@@ -35,7 +35,10 @@
       caller's [rng], so runner aggregates are bit-identical across any
       [--jobs] count.
 
-    {b Loop semantics}, one iteration: draw [dt ~ Exp(total_rate)] and
+    {b Loop semantics}.  Both stochastic drivers run one event race,
+    bounded by an end time: {!drive} runs it once to the horizon,
+    {!drive_sharded} once per shard per sync window.  One iteration:
+    draw [dt ~ Exp(total_rate)] and
     let [t_next = clock + dt]; the earliest of (outage toggle, scheduled
     event, [t_next]) wins, with ties broken in that order.  Toggles are
     gated by the event budget (so an exhausted run truncates instead of
@@ -93,11 +96,14 @@ val observe : t -> time:float -> n:int -> unit
     float summation order in the time-average depends on it. *)
 
 (** The model-specific half of a simulator, as closures over its own
-    state.  All of these are called by {!drive} only. *)
+    state.  All of these are called by the engine's drivers only. *)
 type model = {
   total_rate : unit -> float;
       (** Total exponential race rate for the current state.  Models
-          stash the per-band components in their closure for [apply]. *)
+          stash the per-band components in their closure for [apply].
+          A zero rate idles the model: its next race event is at
+          infinity, so only scheduled events, toggles or the end time
+          move the clock. *)
   apply : time:float -> u:float -> unit;
       (** Dispatch one race event at [time], where [u] is uniform on
           [0, total_rate ()) — compare against the stashed band
@@ -201,7 +207,7 @@ val drive :
     caller's [rng] in shard order, a partition of the peers (see
     {!Shard}), and its own engine handle; the horizon is divided into
     sync windows of length [sync_every], and within a window every
-    shard runs the exact [drive] loop bounded by the window end —
+    shard runs [drive]'s event race bounded by the window end —
     redrawing the exponential race at the boundary, valid by
     memorylessness.  Contacts whose downloader lives on another shard
     are sent as messages; at the window barrier the calling domain
@@ -217,8 +223,8 @@ val drive :
     Results {e do} change when [nshards] or [sync_every] changes — the
     partition, the per-shard streams, and the barrier timing are all
     part of the trajectory.  [nshards = 1] is {e defined} as the
-    unsharded engine: callers dispatch to {!drive}, which is why this
-    function refuses it. *)
+    unsharded engine: callers run the same shard model as shard 0 of 1
+    through {!drive}, which is why this function refuses it. *)
 
 type 'msg shard_model = {
   sh_model : model;  (** the shard-local event loop, exactly as for {!drive} *)
@@ -233,10 +239,11 @@ type sharded_stats = {
   sh_stats : stats;
       (** merged: counters and [time_avg_n] are sums (the time-average
           is linear in the shard decomposition), [samples] is the
-          pointwise sum over the shared grid, [max_n] the maximum of the
-          summed grid plus the final state (exact on grid points, a
-          lower bound between them), [outage_time] is shard 0's (the
-          fixed seed lives there). *)
+          pointwise sum over the shared grid, [max_n] the larger of
+          the summed grid's maximum (with the final state) and every
+          shard's own per-event maximum — a lower bound on the global
+          peak, exact on grid points — and [outage_time] is shard 0's
+          (the fixed seed lives there). *)
   sh_events : int array;
       (** per-shard event counts — the partition proof the bench table
           commits *)
@@ -271,7 +278,9 @@ val drive_sharded :
     [send ~time ~dst msg] enqueues a cross-shard message for delivery
     at the next barrier.  [probes] supplies a
     per-shard probe (default [Probe.none] everywhere); sampling probes
-    observe their own shard only.  [sync_every] defaults to
+    observe their own shard only, and a live hist group gets the same
+    [name]-prefixed phase timers as {!drive}'s.  A model's
+    {!request_stop} is not honoured here.  [sync_every] defaults to
     [horizon /. 200.] (the sample-grid default); [max_events] is a
     global budget split evenly across shards — a shard that exhausts
     its share freezes (truncated) while the others continue.

@@ -1,4 +1,5 @@
 module Pieceset = P2p_pieceset.Pieceset
+module Rng = P2p_prng.Rng
 
 (* The partition discipline: a peer belongs to the shard that created
    it and never migrates.  Initial peers are dealt round-robin starting
@@ -29,38 +30,36 @@ let partition_counts ~shards initial =
     initial;
   Array.map List.rev per
 
-(* A cross-shard contact offer: the uploader's type travels to the
-   downloader's shard, which resolves the contact locally with its own
-   generator.  [None] is the fixed seed (resident on shard 0). *)
-type msg = { uploader : Pieceset.t option }
+(* A cross-shard contact offer: the uploader travels to the downloader's
+   shard, which resolves the contact locally with its own generator.
+   [Fixed_seed] comes from shard 0, where the seed lives. *)
+type msg = { uploader : Policy.uploader }
 
-type route = Local | Remote of int | Nobody
+(* A shard's view of the others: their populations as of the last sync
+   barrier, and their total.  A lone shard is never synced, so it sees
+   nobody else and [route] reduces to the unsharded downloader draw. *)
+type view = { me : int; remote : int array; mutable others : int }
 
-(* Pick the downloader's shard for one contact: uniform over the global
-   population as the resolving shard sees it — its own population live,
-   the others' as of the last sync barrier.  [draw m] must return a
-   uniform index in [0, m-1]. *)
-let route ~draw ~me ~local_n ~remote =
-  let total = ref local_n in
-  Array.iteri (fun j nj -> if j <> me then total := !total + nj) remote;
-  if !total <= 0 then Nobody
-  else begin
-    let r = draw !total in
-    if r < local_n then Local
-    else begin
-      let rest = ref (r - local_n) in
-      let dst = ref (-1) in
-      (try
-         Array.iteri
-           (fun j nj ->
-             if j <> me then
-               if !rest < nj then begin
-                 dst := j;
-                 raise Exit
-               end
-               else rest := !rest - nj)
-           remote
-       with Exit -> ());
-      if !dst < 0 then Nobody else Remote !dst
-    end
-  end
+let view ~me ~shards = { me; remote = Array.make shards 0; others = 0 }
+
+let sync v populations =
+  Array.blit populations 0 v.remote 0 (Array.length v.remote);
+  v.others <- 0;
+  Array.iteri (fun j nj -> if j <> v.me then v.others <- v.others + nj) v.remote
+
+let visible v ~local_n = local_n + v.others
+
+(* One uniform draw over the visible global population.  Below
+   [local_n] the draw is uniform over the local peers, so it is the
+   downloader's rank as it stands — no second draw. *)
+let route v rng ~local_n = Rng.int_below rng (local_n + v.others)
+
+let owner v r =
+  let rec go j rest =
+    if j = v.me then go (j + 1) rest
+    else if rest < v.remote.(j) then j
+    else go (j + 1) (rest - v.remote.(j))
+  in
+  go 0 r
+
+let no_send ~time:_ ~dst:_ _ = invalid_arg "Shard.no_send: a lone shard has no remote peer"

@@ -27,16 +27,38 @@ val partition_counts :
     order.
     @raise Invalid_argument on [shards <= 0] or a negative count. *)
 
-type msg = { uploader : Pieceset.t option  (** [None] = the fixed seed *) }
-(** A cross-shard contact offer: the uploader's pieces travel to the
+type msg = { uploader : Policy.uploader }
+(** A cross-shard contact offer: the uploader travels to the
     downloader's shard, which picks the downloader and resolves the
     contact with its own generator. *)
 
-type route = Local | Remote of int | Nobody
+type view
+(** One shard's routing view: the other shards' populations as of the
+    last sync barrier.  A fresh view sees no other peer, so a lone
+    shard's {!route} is exactly the unsharded downloader draw. *)
 
-val route : draw:(int -> int) -> me:int -> local_n:int -> remote:int array -> route
-(** Choose the shard of a uniformly-random global downloader, seen from
-    shard [me]: its own population [local_n] live, the others from the
-    last sync snapshot [remote] (entry [me] is ignored).  [Nobody] when
-    the visible global population is zero.  Exactly one [draw] is made
-    unless the population is empty (zero draws). *)
+val view : me:int -> shards:int -> view
+
+val sync : view -> int array -> unit
+(** Take a barrier's per-shard populations (entry [me] is ignored). *)
+
+val visible : view -> local_n:int -> int
+(** The global population as shard [me] sees it: [local_n] live plus
+    the others' snapshot. *)
+
+val route : view -> P2p_prng.Rng.t -> local_n:int -> int
+(** Choose a uniformly-random global downloader with exactly one draw,
+    uniform on [[0, visible)].  A result [r < local_n] is a local
+    downloader, and [r] itself is its rank: uniform over the local
+    peers, so it doubles as the downloader draw.  Otherwise the
+    downloader lives on shard [owner v (r - local_n)].  Allocation-free,
+    and it never walks the snapshot.
+    @raise Invalid_argument when nobody is visible. *)
+
+val owner : view -> int -> int
+(** [owner v i] is the shard holding the [i]-th peer of the others'
+    snapshot, counted in shard order. *)
+
+val no_send : time:float -> dst:int -> 'msg -> unit
+(** The [send] of a lone shard, which never routes anywhere else.
+    @raise Invalid_argument if called. *)

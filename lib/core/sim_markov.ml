@@ -33,194 +33,218 @@ type stats = {
   samples : (float * int) array;
 }
 
-(* One contact resolution: [uploader] tries to push a piece to a uniformly
-   chosen peer.  Returns true iff the state changed.  [probe] only ever
-   receives events here (never randomness or state), so a [Probe.none]
-   run takes the exact same draws in the exact same order.  [seeds]
-   mirrors [State.count state full] incrementally so [total_rate] never
-   pays a hash lookup per event. *)
-let resolve_contact ~rng ~frun ~(p : Params.t) ~policy ~state ~uploader ~seeds
-    ~(counters : Engine.counters) ~probe ~time =
+let stats_of (common : Engine.stats) ~visits_to_empty =
+  {
+    final_time = common.final_time;
+    events = common.events;
+    arrivals = common.arrivals;
+    transfers = common.transfers;
+    completions = common.completions;
+    departures = common.departures;
+    time_avg_n = common.time_avg_n;
+    max_n = common.max_n;
+    final_n = common.final_n;
+    visits_to_empty;
+    truncated = common.truncated;
+    stopped = common.stopped;
+    outage_time = common.outage_time;
+    aborted_peers = common.aborted_peers;
+    lost_transfers = common.lost_transfers;
+    samples = common.samples;
+  }
+
+(* The markov swarm's one model: shard [shard] of [shards], holding the
+   peers of [initial].  [run] is shard 0 of 1; [run_sharded] builds
+   shard i of S.  The placement enters only as values:
+   - arrivals are Poisson-thinned, λ/S per shard;
+   - contact initiation is local (μ·n_i sums to μ·n over the shards);
+   - the fixed seed lives on shard 0, gated on the visible global
+     population (own peers live, the others as of the last sync);
+   - the downloader of every contact is one uniform draw over that
+     population ([Shard.route]): a local draw is the downloader's rank, a
+     remote one becomes a message the receiving shard resolves with its
+     own generator at the barrier ([sh_deliver]).
+   A lone shard sees nobody else, so its routing draw is exactly the
+   unsharded downloader draw.  [observer], [until] and the per-event
+   [visits_to_empty] count are the lone shard's; with several shards,
+   shard 0 counts empties at the sync barriers instead.  [probe] only
+   ever receives events (never randomness or state), so a [Probe.none]
+   run takes the exact same draws in the exact same order. *)
+let shard_model config ~probe ~observer ~until ~initial ~shard ~shards ~rng ~send h =
+  let p = config.params in
   let tracing = probe.Probe.tracing in
-  let is_seed = match uploader with Policy.Fixed_seed -> true | Policy.Peer _ -> false in
-  let downloader = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
-  let choice = Policy.sample policy ~rng ~k:p.k ~state ~uploader ~downloader in
-  if tracing then
-    Probe.contact probe ~time ~seed:is_seed ~useful:(Option.is_some choice);
-  match choice with
-  | None -> false
-  | Some _ when Faults.lost frun ->
-      (* The upload happened but the piece never arrived. *)
-      counters.lost <- counters.lost + 1;
-      if tracing then Probe.transfer_lost probe ~time;
+  let full = Params.full_set p in
+  let state = State.of_counts initial in
+  (* Walker alias table: O(1) arrival-type draws instead of a linear CDF
+     scan, and no per-arrival allocation. *)
+  let arrival_alias = Dist.Alias.make (Array.map snd p.arrivals) in
+  let counters = Engine.counters h in
+  let frun = Engine.faults h in
+  let abort_rate = config.faults.abort_rate in
+  let view = Shard.view ~me:shard ~shards in
+  let visits_to_empty = ref 0 in
+  (* sampled phase cost of contact resolution (policy sampling + piece
+     bookkeeping) — the markov hot path's dominant term *)
+  let contact_tm = Hist.timer (Hist.get probe.Probe.hists "sim_markov/contact") in
+  Engine.observe h ~time:(Engine.start_time h) ~n:(State.n state);
+  (* The seed count is maintained incrementally (arrival of a full set,
+     completion into the dwell stage, seed departure) so the per-event
+     rate recomputation is pure arithmetic — no hash lookup on the hot
+     path. *)
+  let seeds = ref (State.count state full) in
+  let us = p.us and mu = p.mu and gamma = p.gamma in
+  let immediate = Params.immediate_departure p in
+  (* Rate bands, stashed by [total_rate] for [apply]'s dispatch. *)
+  let rate_arrival = ref (Params.lambda_total p /. float_of_int shards) in
+  let rate_seed_contact = ref 0.0 in
+  let rate_peer_contact = ref 0.0 in
+  let rate_abort = ref 0.0 in
+  let total_rate () =
+    let n = State.n state in
+    let s = !seeds in
+    rate_seed_contact :=
+      (if shard = 0 && Shard.visible view ~local_n:n > 0 && Faults.seed_up frun then us
+       else 0.0);
+    rate_peer_contact := mu *. float_of_int n;
+    rate_abort := abort_rate *. float_of_int (n - s);
+    let rate_departure = if immediate then 0.0 else gamma *. float_of_int s in
+    !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort +. rate_departure
+  in
+  (* One contact resolution: [uploader] tries to push a piece to a local
+     peer of type [downloader].  Returns true iff the state changed. *)
+  let resolve ~uploader ~downloader ~time =
+    let c_t0 = Hist.tick contact_tm in
+    let choice = Policy.sample config.policy ~rng ~k:p.k ~state ~uploader ~downloader in
+    if tracing then
+      Probe.contact probe ~time
+        ~seed:(match uploader with Policy.Fixed_seed -> true | Policy.Peer _ -> false)
+        ~useful:(Option.is_some choice);
+    let changed =
+      match choice with
+      | None -> false
+      | Some _ when Faults.lost frun ->
+          (* The upload happened but the piece never arrived. *)
+          counters.lost <- counters.lost + 1;
+          if tracing then Probe.transfer_lost probe ~time;
+          false
+      | Some piece ->
+          counters.transfers <- counters.transfers + 1;
+          let target = Pieceset.add piece downloader in
+          let completed = Pieceset.equal target full in
+          if tracing then Probe.transfer probe ~time ~piece ~completed;
+          if completed then begin
+            counters.completions <- counters.completions + 1;
+            if immediate then begin
+              State.remove_peer state downloader;
+              counters.departures <- counters.departures + 1;
+              if tracing then Probe.departure probe ~time Completed
+            end
+            else begin
+              State.move_peer state ~from_:downloader ~to_:target;
+              incr seeds
+            end
+          end
+          else State.move_peer state ~from_:downloader ~to_:target;
+          true
+    in
+    Hist.tock contact_tm c_t0;
+    changed
+  in
+  let contact uploader ~time =
+    let n = State.n state in
+    let r = Shard.route view rng ~local_n:n in
+    if r < n then resolve ~uploader ~downloader:(State.peer_at_rank state r) ~time
+    else begin
+      send ~time ~dst:(Shard.owner view (r - n)) { Shard.uploader };
       false
-  | Some piece ->
-      counters.transfers <- counters.transfers + 1;
-      let target = Pieceset.add piece downloader in
-      let full = Params.full_set p in
-      let completed = Pieceset.equal target full in
-      if tracing then Probe.transfer probe ~time ~piece ~completed;
-      if completed then begin
-        counters.completions <- counters.completions + 1;
-        if Params.immediate_departure p then begin
-          State.remove_peer state downloader;
-          counters.departures <- counters.departures + 1;
-          if tracing then Probe.departure probe ~time Completed
-        end
-        else begin
-          State.move_peer state ~from_:downloader ~to_:target;
-          incr seeds
-        end
+    end
+  in
+  let changed_at ~time =
+    let n' = State.n state in
+    Engine.observe h ~time ~n:n';
+    if shards = 1 && n' = 0 then incr visits_to_empty;
+    (match observer with Some f -> f ~time ~state | None -> ());
+    match until with Some pred when pred ~time ~n:n' -> Engine.request_stop h | _ -> ()
+  in
+  let apply ~time ~u =
+    let changed =
+      if u < !rate_arrival then begin
+        let idx = Dist.Alias.sample rng arrival_alias in
+        let pieces = fst p.arrivals.(idx) in
+        State.add_peer state pieces;
+        if Pieceset.equal pieces full then incr seeds;
+        counters.arrivals <- counters.arrivals + 1;
+        if tracing then Probe.arrival probe ~time ~pieces;
+        true
       end
-      else State.move_peer state ~from_:downloader ~to_:target;
-      true
+      else if u < !rate_arrival +. !rate_seed_contact then contact Policy.Fixed_seed ~time
+      else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact then
+        contact (Policy.Peer (State.sample_uniform_peer state ~draw:(Rng.int_below rng))) ~time
+      else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
+      then begin
+        (* Churn: a uniformly chosen in-progress peer abandons its
+           download.  rate_abort > 0 guarantees a non-seed peer exists. *)
+        let rec pick () =
+          let c = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
+          if Pieceset.equal c full then pick () else c
+        in
+        State.remove_peer state (pick ());
+        counters.aborted <- counters.aborted + 1;
+        counters.departures <- counters.departures + 1;
+        if tracing then Probe.departure probe ~time Aborted;
+        true
+      end
+      else begin
+        State.remove_peer state full;
+        decr seeds;
+        counters.departures <- counters.departures + 1;
+        if tracing then Probe.departure probe ~time Seed_departed;
+        true
+      end
+    in
+    if changed then changed_at ~time
+  in
+  let sh_deliver ~time ~src:_ (msg : Shard.msg) =
+    (* The target shard emptied since the sender looked: the contact
+       finds nobody and dissolves. *)
+    if State.n state > 0 then begin
+      let downloader = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
+      if resolve ~uploader:msg.Shard.uploader ~downloader ~time then changed_at ~time
+    end
+  in
+  let sh_sync ~time:_ ~populations =
+    Shard.sync view populations;
+    if shard = 0 && Array.for_all (fun n -> n = 0) populations then incr visits_to_empty
+  in
+  let model =
+    {
+      Engine.total_rate;
+      apply;
+      next_scheduled = (fun () -> infinity);
+      scheduled = (fun ~time:_ -> ());
+      population = (fun () -> State.n state);
+      extra_sample = (fun ~time:_ -> ());
+      probe_sample =
+        (fun ~time ->
+          Probe.sample ~time ~k:p.k ~n:(State.n state) ~count_of:(State.count state)
+            ~piece_counts:(State.piece_count_vector state ~k:p.k));
+      finish = (fun ~time:_ -> ());
+    }
+  in
+  ({ Engine.sh_model = model; sh_deliver; sh_sync }, (state, visits_to_empty))
 
 let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until ~rng config
     ~horizon =
-  let p = config.params in
   let common, (state, visits_to_empty) =
     Engine.drive ~probe ?sample_every ?max_events ?resume ~name:"sim_markov" ~rng
       ~faults:config.faults ~horizon (fun h ->
-        let tracing = probe.Probe.tracing in
-        let full = Params.full_set p in
-        let state = State.of_counts config.initial in
-        let lambda_total = Params.lambda_total p in
-        (* Walker alias table: O(1) arrival-type draws instead of a linear
-           CDF scan, and no per-arrival allocation. *)
-        let arrival_alias = Dist.Alias.make (Array.map snd p.arrivals) in
-        let counters = Engine.counters h in
-        let frun = Engine.faults h in
-        let abort_rate = config.faults.abort_rate in
-        let visits_to_empty = ref 0 in
-        (* sampled phase cost of contact resolution (policy sampling +
-           piece bookkeeping) — the markov hot path's dominant term *)
-        let contact_tm = Hist.timer (Hist.get probe.Probe.hists "sim_markov/contact") in
-        Engine.observe h ~time:(Engine.start_time h) ~n:(State.n state);
-        (* The seed count is maintained incrementally (arrival of a full
-           set, completion into the dwell stage, seed departure) so the
-           per-event rate recomputation is pure arithmetic — no hash
-           lookup on the hot path. *)
-        let seeds = ref (State.count state full) in
-        let us = p.us and mu = p.mu and gamma = p.gamma in
-        let immediate = Params.immediate_departure p in
-        (* Rate bands, stashed by [total_rate] for [apply]'s dispatch. *)
-        let rate_arrival = ref lambda_total in
-        let rate_seed_contact = ref 0.0 in
-        let rate_peer_contact = ref 0.0 in
-        let rate_abort = ref 0.0 in
-        let total_rate () =
-          let n = State.n state in
-          let s = !seeds in
-          rate_seed_contact := (if n > 0 && Faults.seed_up frun then us else 0.0);
-          rate_peer_contact := mu *. float_of_int n;
-          rate_abort := abort_rate *. float_of_int (n - s);
-          let rate_departure = if immediate then 0.0 else gamma *. float_of_int s in
-          !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-          +. rate_departure
+        let sm, extra =
+          shard_model config ~probe ~observer ~until ~initial:config.initial ~shard:0 ~shards:1
+            ~rng ~send:Shard.no_send h
         in
-        let apply ~time ~u =
-          let changed =
-            if u < !rate_arrival then begin
-              let idx = Dist.Alias.sample rng arrival_alias in
-              let pieces = fst p.arrivals.(idx) in
-              State.add_peer state pieces;
-              if Pieceset.equal pieces full then incr seeds;
-              counters.arrivals <- counters.arrivals + 1;
-              if tracing then Probe.arrival probe ~time ~pieces;
-              true
-            end
-            else if u < !rate_arrival +. !rate_seed_contact then begin
-              let c_t0 = Hist.tick contact_tm in
-              let changed =
-                resolve_contact ~rng ~frun ~p ~policy:config.policy ~state
-                  ~uploader:Policy.Fixed_seed ~seeds ~counters ~probe ~time
-              in
-              Hist.tock contact_tm c_t0;
-              changed
-            end
-            else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact then begin
-              let uploader_type =
-                State.sample_uniform_peer state ~draw:(Rng.int_below rng)
-              in
-              let c_t0 = Hist.tick contact_tm in
-              let changed =
-                resolve_contact ~rng ~frun ~p ~policy:config.policy ~state
-                  ~uploader:(Policy.Peer uploader_type) ~seeds ~counters ~probe ~time
-              in
-              Hist.tock contact_tm c_t0;
-              changed
-            end
-            else if
-              u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-            then begin
-              (* Churn: a uniformly chosen in-progress peer abandons its
-                 download.  rate_abort > 0 guarantees a non-seed peer exists. *)
-              let rec pick () =
-                let c = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
-                if Pieceset.equal c full then pick () else c
-              in
-              State.remove_peer state (pick ());
-              counters.aborted <- counters.aborted + 1;
-              counters.departures <- counters.departures + 1;
-              if tracing then Probe.departure probe ~time Aborted;
-              true
-            end
-            else begin
-              State.remove_peer state full;
-              decr seeds;
-              counters.departures <- counters.departures + 1;
-              if tracing then Probe.departure probe ~time Seed_departed;
-              true
-            end
-          in
-          if changed then begin
-            let n' = State.n state in
-            Engine.observe h ~time ~n:n';
-            if n' = 0 then incr visits_to_empty;
-            (match observer with Some f -> f ~time ~state | None -> ());
-            match until with
-            | Some pred when pred ~time ~n:n' -> Engine.request_stop h
-            | _ -> ()
-          end
-        in
-        let model =
-          {
-            Engine.total_rate;
-            apply;
-            next_scheduled = (fun () -> infinity);
-            scheduled = (fun ~time:_ -> ());
-            population = (fun () -> State.n state);
-            extra_sample = (fun ~time:_ -> ());
-            probe_sample =
-              (fun ~time ->
-                Probe.sample ~time ~k:p.k ~n:(State.n state) ~count_of:(State.count state)
-                  ~piece_counts:(State.piece_count_vector state ~k:p.k));
-            finish = (fun ~time:_ -> ());
-          }
-        in
-        (model, (state, visits_to_empty)))
+        (sm.Engine.sh_model, extra))
   in
-  let stats =
-    {
-      final_time = common.Engine.final_time;
-      events = common.Engine.events;
-      arrivals = common.Engine.arrivals;
-      transfers = common.Engine.transfers;
-      completions = common.Engine.completions;
-      departures = common.Engine.departures;
-      time_avg_n = common.Engine.time_avg_n;
-      max_n = common.Engine.max_n;
-      final_n = common.Engine.final_n;
-      visits_to_empty = !visits_to_empty;
-      truncated = common.Engine.truncated;
-      stopped = common.Engine.stopped;
-      outage_time = common.Engine.outage_time;
-      aborted_peers = common.Engine.aborted_peers;
-      lost_transfers = common.Engine.lost_transfers;
-      samples = common.Engine.samples;
-    }
-  in
-  (stats, state)
+  (stats_of common ~visits_to_empty:!visits_to_empty, state)
 
 let run_seeded ?probe ?observer ?sample_every ?max_events ?resume ?until ~seed config ~horizon =
   let rng = Rng.of_seed seed in
@@ -236,9 +260,6 @@ type shard_report = {
   shard_final_n : int array;
   shard_states : State.t array;
 }
-
-let merged_state states =
-  State.of_counts (List.concat_map State.to_alist (Array.to_list states))
 
 let run_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?max_events ?sync_every ?jobs
     ?should_stop ~shards ~rng config ~horizon =
@@ -259,188 +280,20 @@ let run_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?max_events ?sync_
       } )
   end
   else begin
-    let p = config.params in
-    let full = Params.full_set p in
-    let immediate = Params.immediate_departure p in
-    let us = p.us and mu = p.mu and gamma = p.gamma in
-    let abort_rate = config.faults.abort_rate in
-    let lambda_share = Params.lambda_total p /. float_of_int shards in
     let parts = Shard.partition_counts ~shards config.initial in
-    let barrier_empties = ref 0 in
-    let sharded, states =
+    let sharded, extras =
       Engine.drive_sharded ~probes ?sample_every ?max_events ?sync_every ?jobs ?should_stop
         ~name:"sim_markov" ~rng ~faults:config.faults ~horizon ~nshards:shards
         (fun ~shard ~rng ~send h ->
-          (* One shard of the markov swarm: [run]'s model re-read
-             through the partition.  Arrivals are Poisson-thinned (λ/S
-             per shard), contact *initiation* is local (μ·n_i sums to
-             μ·n over the shards), and the downloader of every contact
-             is drawn uniformly over the global population as this
-             shard sees it — own peers live, the others from the last
-             sync snapshot.  A remote downloader turns the contact into
-             a message; the receiving shard picks the concrete
-             downloader and resolves the policy with its own generator.
-             The fixed seed lives on shard 0. *)
-          let probe = probes shard in
-          let tracing = probe.Probe.tracing in
-          let state = State.of_counts parts.(shard) in
-          let arrival_alias = Dist.Alias.make (Array.map snd p.arrivals) in
-          let counters = Engine.counters h in
-          let frun = Engine.faults h in
-          let contact_tm = Hist.timer (Hist.get probe.Probe.hists "sim_markov/contact") in
-          Engine.observe h ~time:(Engine.start_time h) ~n:(State.n state);
-          let seeds = ref (State.count state full) in
-          let remote = Array.make shards 0 in
-          let visible_remote () =
-            let t = ref 0 in
-            Array.iteri (fun j nj -> if j <> shard then t := !t + nj) remote;
-            !t
-          in
-          let rate_arrival = ref lambda_share in
-          let rate_seed_contact = ref 0.0 in
-          let rate_peer_contact = ref 0.0 in
-          let rate_abort = ref 0.0 in
-          let total_rate () =
-            let n = State.n state in
-            let s = !seeds in
-            rate_seed_contact :=
-              (if shard = 0 && n + visible_remote () > 0 && Faults.seed_up frun then us else 0.0);
-            rate_peer_contact := mu *. float_of_int n;
-            rate_abort := abort_rate *. float_of_int (n - s);
-            let rate_departure = if immediate then 0.0 else gamma *. float_of_int s in
-            !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-            +. rate_departure
-          in
-          (* Resolve a contact whose downloader routing already chose
-             this shard, or forward it across the boundary. *)
-          let contact uploader ~time =
-            match
-              Shard.route ~draw:(Rng.int_below rng) ~me:shard ~local_n:(State.n state) ~remote
-            with
-            | Shard.Nobody -> false
-            | Shard.Local ->
-                let c_t0 = Hist.tick contact_tm in
-                let changed =
-                  resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader ~seeds
-                    ~counters ~probe ~time
-                in
-                Hist.tock contact_tm c_t0;
-                changed
-            | Shard.Remote dst ->
-                let up =
-                  match uploader with Policy.Fixed_seed -> None | Policy.Peer c -> Some c
-                in
-                send ~time ~dst { Shard.uploader = up };
-                false
-          in
-          let apply ~time ~u =
-            let changed =
-              if u < !rate_arrival then begin
-                let idx = Dist.Alias.sample rng arrival_alias in
-                let pieces = fst p.arrivals.(idx) in
-                State.add_peer state pieces;
-                if Pieceset.equal pieces full then incr seeds;
-                counters.arrivals <- counters.arrivals + 1;
-                if tracing then Probe.arrival probe ~time ~pieces;
-                true
-              end
-              else if u < !rate_arrival +. !rate_seed_contact then
-                contact Policy.Fixed_seed ~time
-              else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact then begin
-                let uploader_type =
-                  State.sample_uniform_peer state ~draw:(Rng.int_below rng)
-                in
-                contact (Policy.Peer uploader_type) ~time
-              end
-              else if
-                u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-              then begin
-                let rec pick () =
-                  let c = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
-                  if Pieceset.equal c full then pick () else c
-                in
-                State.remove_peer state (pick ());
-                counters.aborted <- counters.aborted + 1;
-                counters.departures <- counters.departures + 1;
-                if tracing then Probe.departure probe ~time Aborted;
-                true
-              end
-              else begin
-                State.remove_peer state full;
-                decr seeds;
-                counters.departures <- counters.departures + 1;
-                if tracing then Probe.departure probe ~time Seed_departed;
-                true
-              end
-            in
-            if changed then Engine.observe h ~time ~n:(State.n state)
-          in
-          let sh_deliver ~time ~src:_ (msg : Shard.msg) =
-            (* The target shard emptied since the sender looked: the
-               contact finds nobody and dissolves. *)
-            if State.n state > 0 then begin
-              let uploader =
-                match msg.Shard.uploader with
-                | None -> Policy.Fixed_seed
-                | Some c -> Policy.Peer c
-              in
-              let c_t0 = Hist.tick contact_tm in
-              let changed =
-                resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader ~seeds
-                  ~counters ~probe ~time
-              in
-              Hist.tock contact_tm c_t0;
-              if changed then Engine.observe h ~time ~n:(State.n state)
-            end
-          in
-          let sh_sync ~time:_ ~populations =
-            Array.blit populations 0 remote 0 shards;
-            if shard = 0 && Array.for_all (fun n -> n = 0) populations then
-              incr barrier_empties
-          in
-          let model =
-            {
-              Engine.total_rate;
-              apply;
-              next_scheduled = (fun () -> infinity);
-              scheduled = (fun ~time:_ -> ());
-              population = (fun () -> State.n state);
-              extra_sample = (fun ~time:_ -> ());
-              probe_sample =
-                (fun ~time ->
-                  Probe.sample ~time ~k:p.k ~n:(State.n state)
-                    ~count_of:(State.count state)
-                    ~piece_counts:(State.piece_count_vector state ~k:p.k));
-              finish = (fun ~time:_ -> ());
-            }
-          in
-          ({ Engine.sh_model = model; sh_deliver; sh_sync }, state))
+          shard_model config ~probe:(probes shard) ~observer:None ~until:None
+            ~initial:parts.(shard) ~shard ~shards ~rng ~send h)
     in
-    let common = sharded.Engine.sh_stats in
-    let stats =
-      {
-        final_time = common.Engine.final_time;
-        events = common.Engine.events;
-        arrivals = common.Engine.arrivals;
-        transfers = common.Engine.transfers;
-        completions = common.Engine.completions;
-        departures = common.Engine.departures;
-        time_avg_n = common.Engine.time_avg_n;
-        max_n = common.Engine.max_n;
-        final_n = common.Engine.final_n;
-        (* Sampled at sync barriers, not per event: the sharded loop has
-           no global per-event view.  Documented in DESIGN §17. *)
-        visits_to_empty = !barrier_empties;
-        truncated = common.Engine.truncated;
-        stopped = common.Engine.stopped;
-        outage_time = common.Engine.outage_time;
-        aborted_peers = common.Engine.aborted_peers;
-        lost_transfers = common.Engine.lost_transfers;
-        samples = common.Engine.samples;
-      }
-    in
-    ( stats,
-      merged_state states,
+    let states = Array.map fst extras in
+    (* Sampled at sync barriers, not per event: the sharded loop has no
+       global per-event view.  Documented in DESIGN §17. *)
+    let visits_to_empty = !(snd extras.(0)) in
+    ( stats_of sharded.Engine.sh_stats ~visits_to_empty,
+      State.of_counts (List.concat_map State.to_alist (Array.to_list states)),
       {
         shards;
         windows = sharded.Engine.sh_windows;

@@ -146,15 +146,18 @@ let piece_copies t ~k ~piece =
 
 let piece_count_vector t ~k = Array.sub t.piece_counts 0 k
 
-let sample_uniform_peer t ~draw =
-  if t.total = 0 then invalid_arg "State.sample_uniform_peer: empty state";
-  let target = draw t.total in
+let peer_at_rank t rank =
+  if rank < 0 || rank >= t.total then invalid_arg "State.peer_at_rank: rank out of range";
   (* Guaranteed to land inside the dense prefix: sum of vals = total. *)
   let rec go slot acc =
     let acc = acc + Array.unsafe_get t.vals slot in
-    if acc > target then Array.unsafe_get t.types slot else go (slot + 1) acc
+    if acc > rank then Array.unsafe_get t.types slot else go (slot + 1) acc
   in
   go 0 0
+
+let sample_uniform_peer t ~draw =
+  if t.total = 0 then invalid_arg "State.sample_uniform_peer: empty state";
+  peer_at_rank t (draw t.total)
 
 let count_subset_peers t s =
   fold t ~init:0 ~f:(fun acc c v -> if Pieceset.subset c s then acc + v else acc)

@@ -50,6 +50,12 @@ val piece_copies : t -> k:int -> piece:int -> int
 val piece_count_vector : t -> k:int -> int array
 (** [piece_copies] for every piece at once — an O(k) fresh copy. *)
 
+val peer_at_rank : t -> int -> Pieceset.t
+(** Type of the peer of rank [r] in [[0, n)], counting peers slot by
+    slot in the dense occupied-type array: a uniform [r] gives a uniform
+    peer.  Allocation-free.
+    @raise Invalid_argument if [r] is out of range. *)
+
 val sample_uniform_peer : t -> draw:(int -> int) -> Pieceset.t
 (** Type of a peer chosen uniformly among all [n] peers; [draw m] must
     return a uniform index in [0, m-1].  A linear scan of the dense

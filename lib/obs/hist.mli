@@ -8,7 +8,7 @@
     nanosecond-scale durations recorded in seconds (1 ns ≈ bucket 2,
     1 s = bucket 32) and event counts up to two billion.
 
-    The overhead contract mirrors {!Metrics}: {!record} on a live
+    The overhead contract: {!record} on a live
     histogram is integer arithmetic and float-array stores — {e no
     allocation} — and on a dead one (from {!disabled}) it is a single
     branch.  A test pins zero heap growth per record.
@@ -99,7 +99,7 @@ val tock : timer -> float -> unit
 
 type group
 (** A registry of named histograms, dead or live as a whole — the same
-    disabled/live split as {!Profile} and {!Metrics}.  Registration
+    disabled/live split as {!Profile}.  Registration
     ({!get}) is mutex-guarded and cheap but not hot-path; fetch
     instruments once, then {!record} freely. *)
 

@@ -3,8 +3,8 @@
     Coarse-grained by design: a phase is a named region entered a handful
     of times per run (setup, the event loop, finalisation), not a
     per-event probe — so the clock reads never show up in the event
-    loop's own profile.  {!disabled} follows the same dead-cell contract
-    as {!Metrics}: [start]/[stop] on it are a branch each, no clock read,
+    loop's own profile.  {!disabled} is a dead cell: [start]/[stop] on it
+    are a branch each, no clock read,
     no allocation beyond the shared dummy span.
 
     Accumulators are mutex-protected so replications running on several

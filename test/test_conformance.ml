@@ -174,6 +174,55 @@ let test_littles_law_everywhere () =
      /. Float.max 1.0 stats.time_avg_n
     < 0.08)
 
+(* ---- 6. sharded runs agree in law with unsharded ones ---- *)
+
+(* A sharded run is a different sample path of (approximately) the same
+   chain: stale remote populations and barrier-time uploads are its
+   O(sync_every) deviations (DESIGN §17).  At a small window the
+   replicated time-average N and transfer rate of 2-shard runs must sit
+   within the replication confidence interval of unsharded runs. *)
+let test_sharded_agrees_in_law () =
+  let p = Params.make ~k:3 ~us:2.0 ~mu:1.0 ~gamma:1.0 ~arrivals:[ (PS.empty, 1.0) ] in
+  let horizon = 500.0 and reps = 40 and sync_every = 0.05 in
+  let replicate ~master run =
+    let n = P2p_stats.Welford.create () and rate = P2p_stats.Welford.create () in
+    for i = 0 to reps - 1 do
+      let time_avg_n, transfers = run (Rng.of_seed_pair ~master ~stream:i) in
+      P2p_stats.Welford.add n time_avg_n;
+      P2p_stats.Welford.add rate (float_of_int transfers /. horizon)
+    done;
+    (n, rate)
+  in
+  let agree backend (un_n, un_rate) (sh_n, sh_rate) =
+    let check what a b =
+      let open P2p_stats.Welford in
+      let tol = 3.0 *. Float.sqrt ((std_error a ** 2.0) +. (std_error b ** 2.0)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: unsharded %.4f vs 2 shards %.4f (tol %.4f)" backend what
+           (mean a) (mean b) tol)
+        true
+        (Float.abs (mean a -. mean b) <= tol)
+    in
+    check "time-avg N" un_n sh_n;
+    check "transfer rate" un_rate sh_rate
+  in
+  let mconfig = Sim_markov.default_config p in
+  agree "markov"
+    (replicate ~master:61 (fun rng ->
+         let s, _ = Sim_markov.run ~rng mconfig ~horizon in
+         (s.time_avg_n, s.transfers)))
+    (replicate ~master:62 (fun rng ->
+         let s, _, _ = Sim_markov.run_sharded ~sync_every ~shards:2 ~rng mconfig ~horizon in
+         (s.time_avg_n, s.transfers)));
+  let aconfig = Sim_agent.default_config p in
+  agree "agent"
+    (replicate ~master:63 (fun rng ->
+         let s, _ = Sim_agent.run ~rng aconfig ~horizon in
+         (s.time_avg_n, s.transfers)))
+    (replicate ~master:64 (fun rng ->
+         let s, _, _ = Sim_agent.run_sharded ~sync_every ~shards:2 ~rng aconfig ~horizon in
+         (s.time_avg_n, s.transfers)))
+
 let () =
   Alcotest.run "conformance"
     [
@@ -184,5 +233,6 @@ let () =
           Alcotest.test_case "fluid = generator drift" `Quick test_fluid_equals_generator_everywhere;
           Alcotest.test_case "coded engines agree" `Slow test_coded_engines_agree;
           Alcotest.test_case "Little's law" `Slow test_littles_law_everywhere;
+          Alcotest.test_case "sharded = unsharded in law" `Slow test_sharded_agrees_in_law;
         ] );
     ]

@@ -6,11 +6,8 @@
 
 open P2p_core
 
-(* aliased after [open P2p_core] on purpose: the core library has its own
-   [Metrics] (summary metrics), and here the telemetry one must win *)
 module Rng = P2p_prng.Rng
 module Json = P2p_obs.Json
-module Metrics = P2p_obs.Metrics
 module Clock = P2p_obs.Clock
 module Hist = P2p_obs.Hist
 module Recorder = P2p_obs.Recorder
@@ -97,58 +94,6 @@ let test_json_accessors () =
   match Option.bind (Json.member "b" v) Json.to_list_opt with
   | Some [ Json.Bool true; Json.Null ] -> ()
   | _ -> Alcotest.fail "member b should be [true, null]"
-
-(* ---- Metrics ---- *)
-
-let test_metrics_disabled_dead () =
-  let r = Metrics.disabled in
-  Alcotest.(check bool) "disabled not enabled" false (Metrics.enabled r);
-  let c = Metrics.counter r "events" in
-  Metrics.incr c;
-  Metrics.add c 100;
-  Alcotest.(check int) "dead counter stays 0" 0 (Metrics.counter_value c);
-  let g = Metrics.gauge r "n" in
-  Metrics.set g 7.0;
-  Alcotest.(check (float 0.0)) "dead gauge stays 0" 0.0 (Metrics.gauge_value g);
-  let t = Metrics.timer r "loop" in
-  let x = Metrics.time t (fun () -> 41 + 1) in
-  Alcotest.(check int) "dead timer still runs the thunk" 42 x;
-  Alcotest.(check int) "dead timer count 0" 0 (Metrics.timer_count t)
-
-let test_metrics_enabled () =
-  let r = Metrics.create () in
-  Alcotest.(check bool) "enabled" true (Metrics.enabled r);
-  let c = Metrics.counter r "events" in
-  Metrics.incr c;
-  Metrics.add c 10;
-  Alcotest.(check int) "counter 11" 11 (Metrics.counter_value c);
-  let c' = Metrics.counter r "events" in
-  Metrics.incr c';
-  Alcotest.(check int) "re-fetch shares the cell" 12 (Metrics.counter_value c);
-  let g = Metrics.gauge r "n" in
-  Metrics.set g 3.5;
-  Alcotest.(check (float 0.0)) "gauge holds last set" 3.5 (Metrics.gauge_value g);
-  let t = Metrics.timer r "loop" in
-  ignore (Metrics.time t (fun () -> Sys.opaque_identity ()));
-  ignore (Metrics.time t (fun () -> Sys.opaque_identity ()));
-  Alcotest.(check int) "timer entered twice" 2 (Metrics.timer_count t);
-  Alcotest.(check bool) "timer total nonnegative" true (Metrics.timer_total_s t >= 0.0);
-  (* registering the same name as a different kind is a bug, not a merge *)
-  Alcotest.check_raises "kind clash"
-    (Invalid_argument "Metrics: \"events\" registered as a different kind") (fun () ->
-      ignore (Metrics.gauge r "events"))
-
-let test_metrics_to_json () =
-  let r = Metrics.create () in
-  Metrics.add (Metrics.counter r "transfers") 3;
-  Metrics.set (Metrics.gauge r "final_n") 9.0;
-  match Metrics.to_json r with
-  | Json.Obj kvs ->
-      Alcotest.(check (option int))
-        "counter serialised" (Some 3)
-        (Option.bind (List.assoc_opt "transfers" kvs) Json.to_int_opt);
-      Alcotest.(check bool) "keys sorted" true (List.map fst kvs = List.sort compare (List.map fst kvs))
-  | _ -> Alcotest.fail "to_json should be an object"
 
 (* ---- Trace ---- *)
 
@@ -1012,37 +957,6 @@ let test_full_instrumentation_bit_identity () =
   check_markov_stats_equal "fully instrumented" bare probed;
   Alcotest.(check bool) "the monitor saw the run" true (Monitor.samples_seen m > 0)
 
-(* ---- per-domain metrics merged at join ---- *)
-
-let test_metrics_multi_domain_merge () =
-  let work dom_id () =
-    let r = Metrics.create () in
-    let c = Metrics.counter r "events" in
-    let g = Metrics.gauge r "peak_n" in
-    let t = Metrics.timer r "phase" in
-    for _ = 1 to 1000 * (dom_id + 1) do
-      Metrics.incr c
-    done;
-    Metrics.set g (float_of_int dom_id);
-    Metrics.time t (fun () -> ());
-    r
-  in
-  let rs = Array.init 4 (fun i -> Domain.spawn (work i)) |> Array.map Domain.join in
-  let fwd = Metrics.create () and rev = Metrics.create () in
-  Array.iter (fun r -> Metrics.merge ~into:fwd r) rs;
-  for i = Array.length rs - 1 downto 0 do
-    Metrics.merge ~into:rev rs.(i)
-  done;
-  let counter m = Metrics.counter_value (Metrics.counter m "events") in
-  let gauge m = Metrics.gauge_value (Metrics.gauge m "peak_n") in
-  let timer_n m = Metrics.timer_count (Metrics.timer m "phase") in
-  Alcotest.(check int) "counters add across domains" 10_000 (counter fwd);
-  Alcotest.(check (float 0.0)) "gauges keep the max" 3.0 (gauge fwd);
-  Alcotest.(check int) "timer entries add" 4 (timer_n fwd);
-  Alcotest.(check int) "join order irrelevant: counters" (counter fwd) (counter rev);
-  Alcotest.(check bool) "join order irrelevant: gauges" true (gauge fwd = gauge rev);
-  Alcotest.(check int) "join order irrelevant: timers" (timer_n fwd) (timer_n rev)
-
 let () =
   Alcotest.run "obs"
     [
@@ -1053,12 +967,6 @@ let () =
           Alcotest.test_case "non-finite as null" `Quick test_json_nonfinite_as_null;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "disabled dead cells" `Quick test_metrics_disabled_dead;
-          Alcotest.test_case "enabled counting" `Quick test_metrics_enabled;
-          Alcotest.test_case "to_json" `Quick test_metrics_to_json;
         ] );
       ( "trace",
         [
@@ -1137,11 +1045,6 @@ let () =
           Alcotest.test_case "config validation" `Quick test_monitor_config_validation;
           Alcotest.test_case "full instrumentation bit-identity" `Quick
             test_full_instrumentation_bit_identity;
-        ] );
-      ( "metrics-domains",
-        [
-          Alcotest.test_case "per-domain registries merge at join" `Quick
-            test_metrics_multi_domain_merge;
         ] );
       ( "crash-safety",
         [

@@ -91,7 +91,29 @@ let test_nshard_markov_deterministic () =
   Alcotest.(check bool) "state" true (State.equal sa sb);
   Alcotest.(check int) "messages" ra.Sim_markov.cross_messages rb.Sim_markov.cross_messages;
   Alcotest.(check (array int)) "per-shard events" ra.Sim_markov.shard_events
-    rb.Sim_markov.shard_events
+    rb.Sim_markov.shard_events;
+  (* The merged max_n covers every shard's own per-event peak, not only
+     the summed grid.  Take a stable swarm started empty on a grid of
+     just the endpoints: per-shard probes on a fine sim-time grid
+     (observers only) see peaks the merge must still bound.  This run
+     ends with 2 peers, below every shard's peak, so the grid alone
+     would miss them. *)
+  let peaks = Array.make 3 0 in
+  let probes i =
+    P2p_obs.Probe.make ~interval:0.05
+      ~on_sample:(fun s -> peaks.(i) <- Int.max peaks.(i) s.P2p_obs.Probe.n)
+      ()
+  in
+  let stable = { (markov_config ~faults:churny_faults ()) with params = params ~lambda:0.5 () } in
+  let c, _, _ =
+    Sim_markov.run_sharded_seeded ~probes ~sample_every:200.0 ~shards:3 ~seed:1 stable
+      ~horizon:200.0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "max_n %d >= per-shard peaks %s" c.Sim_markov.max_n
+       (String.concat "," (Array.to_list (Array.map string_of_int peaks))))
+    true
+    (c.Sim_markov.max_n >= Array.fold_left Int.max 0 peaks)
 
 let test_nshard_markov_jobs_invariant () =
   let a, sa, ra = run_markov_sharded ~jobs:1 () in
@@ -240,11 +262,13 @@ let test_welford_merge_associative () =
 
 (* ---- engine-level guards ---- *)
 
-let test_drive_sharded_rejects_one_shard () =
-  let config = markov_config () in
-  Alcotest.check_raises "shards=0 rejected"
+let test_run_sharded_rejects_zero_shards () =
+  Alcotest.check_raises "markov shards=0"
     (Invalid_argument "Sim_markov.run_sharded: shards must be >= 1") (fun () ->
-      ignore (Sim_markov.run_sharded_seeded ~shards:0 ~seed:1 config ~horizon:1.0))
+      ignore (Sim_markov.run_sharded_seeded ~shards:0 ~seed:1 (markov_config ()) ~horizon:1.0));
+  Alcotest.check_raises "agent shards=0"
+    (Invalid_argument "Sim_agent.run_sharded: shards must be >= 1") (fun () ->
+      ignore (Sim_agent.run_sharded_seeded ~shards:0 ~seed:1 (agent_config ()) ~horizon:1.0))
 
 let test_sharded_probe_bit_identity () =
   (* A sharded run with per-shard recorders/hists attached takes the
@@ -293,5 +317,5 @@ let () =
           Alcotest.test_case "welford sojourns" `Quick test_welford_merge_associative;
         ] );
       ( "guards",
-        [ Alcotest.test_case "shards=0 rejected" `Quick test_drive_sharded_rejects_one_shard ] );
+        [ Alcotest.test_case "shards=0 rejected" `Quick test_run_sharded_rejects_zero_shards ] );
     ]

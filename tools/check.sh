@@ -240,7 +240,8 @@ fi
 # determinism contract end to end through the CLI — two identical
 # 2-shard invocations must be byte-equal, a --jobs change must not
 # alter the output, and --shards 1 must be byte-identical to the plain
-# single-loop simulator (the goldens' anchor).
+# single-loop simulator (the goldens' anchor).  The --jobs and
+# --shards 1 checks are repeated for the agent backend.
 if [ "${CHECK_SHARD:-0}" = "1" ]; then
   out="${CHECK_SHARD_DIR:-_build/shard-smoke}"
   rm -rf "$out"
@@ -273,6 +274,24 @@ if [ "${CHECK_SHARD:-0}" = "1" ]; then
     echo "FAIL: --shards 1 run exited non-zero" >&2; exit 1; }
   cmp "$out/plain.csv" "$out/s1.csv" || {
     echo "FAIL: --shards 1 is not byte-identical to the unsharded simulator" >&2; exit 1; }
+  # The agent backend is one model for both loops too: the same --jobs
+  # invariance and --shards 1 anchor must hold with --agent.
+  left=$(remaining)
+  timeout "$left" $P2PSIM simulate $ARGS --agent --shards 2 --csv "$out/agent-j1.csv" >/dev/null || {
+    echo "FAIL: agent 2-shard run exited non-zero" >&2; exit 1; }
+  left=$(remaining)
+  timeout "$left" $P2PSIM simulate $ARGS --agent --shards 2 --jobs 2 --csv "$out/agent-j2.csv" >/dev/null || {
+    echo "FAIL: agent 2-shard --jobs 2 run exited non-zero" >&2; exit 1; }
+  cmp "$out/agent-j1.csv" "$out/agent-j2.csv" || {
+    echo "FAIL: --jobs changed the agent 2-shard trajectory" >&2; exit 1; }
+  left=$(remaining)
+  timeout "$left" $P2PSIM simulate $ARGS --agent --csv "$out/agent-plain.csv" >/dev/null || {
+    echo "FAIL: unsharded agent run exited non-zero" >&2; exit 1; }
+  left=$(remaining)
+  timeout "$left" $P2PSIM simulate $ARGS --agent --shards 1 --csv "$out/agent-s1.csv" >/dev/null || {
+    echo "FAIL: agent --shards 1 run exited non-zero" >&2; exit 1; }
+  cmp "$out/agent-plain.csv" "$out/agent-s1.csv" || {
+    echo "FAIL: agent --shards 1 is not byte-identical to the unsharded simulator" >&2; exit 1; }
   echo "== shard smoke OK =="
 fi
 
