@@ -799,7 +799,7 @@ let simulate_cmd =
               (Recorder.dropped r) f)
           recorders);
     Printf.printf "empirical verdict: %s (growth %s/t)\n"
-      (Classify.verdict_to_string (Classify.of_samples samples).verdict)
+      (Classify.verdict_to_string (Classify.of_run ~truncated samples).verdict)
       (Report.fmt_float growth);
     report_effective_verdict params faults;
     match csv with None -> () | Some file -> write_samples_csv file samples
@@ -842,7 +842,7 @@ let simulate_cmd =
            ("one-club fraction", Report.fmt_float stats.one_club_time_fraction);
          ]
         @ fault_rows (stats.outage_time, stats.aborted_peers, stats.lost_transfers));
-      let r = Classify.of_samples stats.samples in
+      let r = Classify.of_run ~truncated:stats.truncated stats.samples in
       Printf.printf "empirical verdict: %s (growth %s/t)\n"
         (Classify.verdict_to_string r.verdict)
         (Report.fmt_float r.growth_rate);
@@ -868,7 +868,7 @@ let simulate_cmd =
            ("visits to empty", string_of_int stats.visits_to_empty);
          ]
         @ fault_rows (stats.outage_time, stats.aborted_peers, stats.lost_transfers));
-      let r = Classify.of_samples stats.samples in
+      let r = Classify.of_stats stats in
       Printf.printf "empirical verdict: %s (growth %s/t)\n"
         (Classify.verdict_to_string r.verdict)
         (Report.fmt_float r.growth_rate);
@@ -929,8 +929,8 @@ let fluid_cmd =
       | None -> ()
       | Some file -> write_samples_csv file samples
     in
-    let empirical samples =
-      let r = Classify.of_samples samples in
+    let empirical ~truncated samples =
+      let r = Classify.of_run ~truncated samples in
       Printf.printf "empirical verdict: %s (growth %s/t)\n"
         (Classify.verdict_to_string r.Classify.verdict)
         (Report.fmt_float r.Classify.growth_rate)
@@ -988,7 +988,7 @@ let fluid_cmd =
               (Report.fmt_float s.Sim_hybrid.n))
           stats.switches
       end;
-      empirical stats.samples;
+      empirical ~truncated:stats.truncated stats.samples;
       report_effective_verdict params faults;
       write_csv stats.samples
     end
@@ -1012,7 +1012,7 @@ let fluid_cmd =
            ("final N", Report.fmt_float stats.final_n);
          ]
         @ fluid_fault_rows (stats.outage_time, stats.aborted_mass, stats.lost_mass));
-      empirical stats.samples;
+      empirical ~truncated:stats.truncated stats.samples;
       report_effective_verdict params faults;
       write_csv stats.samples
     end
@@ -1067,7 +1067,7 @@ let region_cmd =
               let p = cell_params (cell / steps) (cell mod steps) in
               let stats, _ = Sim_markov.run ~rng (Sim_markov.default_config p) ~horizon in
               Progress.add_events progress stats.events;
-              (Classify.of_samples stats.samples).verdict)
+              (Classify.of_stats stats).verdict)
         in
         Format.printf "simulated %d cells x %d reps: %a@." cells reps Runner.pp_timing timing;
         report_failures timing;
@@ -1189,7 +1189,8 @@ let coded_cmd =
              ("completions", string_of_int s.completions);
              ("near-complete fraction", Report.fmt_float s.near_complete_fraction);
              ( "empirical verdict",
-               Classify.verdict_to_string (Classify.of_samples s.samples).verdict );
+               Classify.verdict_to_string
+                 (Classify.of_run ~truncated:s.truncated s.samples).verdict );
            ]
           @ fault_rows faults (s.outage_time, s.aborted_peers, s.lost_transfers))
       end
@@ -1305,7 +1306,7 @@ let overlay_cmd =
             Sim_network.run_seeded ~probe ?max_events ~seed cfg ~horizon)
       in
       truncation_warning s.truncated;
-      let r = Classify.of_samples s.samples in
+      let r = Classify.of_run ~truncated:s.truncated s.samples in
       Report.kv
         ([
            ("verdict", Classify.verdict_to_string r.verdict);

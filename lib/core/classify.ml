@@ -61,7 +61,14 @@ let of_samples samples =
     final_n;
   }
 
-let of_stats (s : Sim_markov.stats) = of_samples s.samples
+(* A run cut short by its event budget holds its last state to the
+   horizon: the frozen tail fits as flat growth, so the trace says
+   nothing about stability. *)
+let of_run ~truncated samples =
+  let r = of_samples samples in
+  if truncated then { r with verdict = Inconclusive } else r
+
+let of_stats (s : Sim_markov.stats) = of_run ~truncated:s.truncated s.samples
 
 let run ?(horizon = 2000.0) ?(policy = Policy.random_useful) ?(initial = []) ~seed params =
   let config = { Sim_markov.params; policy; initial; faults = Faults.none } in

@@ -27,7 +27,14 @@ val of_samples : (float * int) array -> result
 (** Classify a sampled [(t, N_t)] trajectory.
     @raise Invalid_argument with fewer than 16 samples. *)
 
+val of_run : truncated:bool -> (float * int) array -> result
+(** {!of_samples} for a simulation's trajectory, with the verdict
+    [Inconclusive] when the run was [truncated]: its state is frozen
+    from the last event to the horizon, and that flat tail would read as
+    stability.  Every printed empirical verdict goes through here. *)
+
 val of_stats : Sim_markov.stats -> result
+(** {!of_run} on a {!Sim_markov} run. *)
 
 val run :
   ?horizon:float -> ?policy:Policy.t -> ?initial:(Sim_markov.Pieceset.t * int) list ->

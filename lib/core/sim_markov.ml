@@ -33,6 +33,17 @@ type stats = {
   samples : (float * int) array;
 }
 
+(* Cumulative boundaries of the contact and departure rate bands above
+   the arrival band, stashed by [total_rate] for [apply].  An all-float
+   record is stored flat, so the per-event updates do not allocate. *)
+type bands = {
+  mutable seed_local : float;
+  mutable seed_remote : float;
+  mutable peer_local : float;
+  mutable peer_remote : float;
+  mutable abort : float;
+}
+
 let stats_of (common : Engine.stats) ~visits_to_empty =
   {
     final_time = common.final_time;
@@ -55,17 +66,25 @@ let stats_of (common : Engine.stats) ~visits_to_empty =
 
 (* The markov swarm's one model: shard [shard] of [shards], holding the
    peers of [initial].  [run] is shard 0 of 1; [run_sharded] builds
-   shard i of S.  The placement enters only as values:
-   - arrivals are Poisson-thinned, λ/S per shard;
-   - contact initiation is local (μ·n_i sums to μ·n over the shards);
-   - the fixed seed lives on shard 0, gated on the visible global
-     population (own peers live, the others as of the last sync);
-   - the downloader of every contact is one uniform draw over that
-     population ([Shard.route]): a local draw is the downloader's rank, a
-     remote one becomes a message the receiving shard resolves with its
-     own generator at the barrier ([sh_deliver]).
-   A lone shard sees nobody else, so its routing draw is exactly the
-   unsharded downloader draw.  [observer], [until] and the per-event
+   shard i of S.
+
+   Rejection-free: the exponential race runs only over jumps that change
+   the state.  A contact whose uploader holds nothing the downloader
+   lacks is a self-loop of the CTMC, so leaving it out changes neither
+   the jump chain nor the holding times.  With N_vis the visible global
+   population (own peers live, the others as of the last sync) and
+   [Pair_mass] keeping the useful local pair mass M, the contact bands
+   are
+   - local peer contact, μ·M/N_vis: one draw picks a useful pair;
+   - local seed contact, U_s·(n − x_full)/N_vis: a uniform non-full
+     downloader;
+   - remote peer contact, μ·n·(N_vis − n)/N_vis, and remote seed
+     contact, U_s·(N_vis − n)/N_vis: the uploader travels as a message,
+     which the receiving shard resolves with its own generator at the
+     barrier ([sh_deliver]) and which can still be silent there.
+   A lone shard sees nobody else (N_vis = n), so both remote bands are
+   zero.  The fixed seed lives on shard 0; arrivals are Poisson-thinned,
+   λ/S per shard.  [observer], [until] and the per-event
    [visits_to_empty] count are the lone shard's; with several shards,
    shard 0 counts empties at the sync barriers instead.  [probe] only
    ever receives events (never randomness or state), so a [Probe.none]
@@ -74,7 +93,8 @@ let shard_model config ~probe ~observer ~until ~initial ~shard ~shards ~rng ~sen
   let p = config.params in
   let tracing = probe.Probe.tracing in
   let full = Params.full_set p in
-  let state = State.of_counts initial in
+  let pairs = Pair_mass.create (State.of_counts initial) in
+  let state = Pair_mass.state pairs in
   (* Walker alias table: O(1) arrival-type draws instead of a linear CDF
      scan, and no per-arrival allocation. *)
   let arrival_alias = Dist.Alias.make (Array.map snd p.arrivals) in
@@ -83,8 +103,8 @@ let shard_model config ~probe ~observer ~until ~initial ~shard ~shards ~rng ~sen
   let abort_rate = config.faults.abort_rate in
   let view = Shard.view ~me:shard ~shards in
   let visits_to_empty = ref 0 in
-  (* sampled phase cost of contact resolution (policy sampling + piece
-     bookkeeping) — the markov hot path's dominant term *)
+  (* sampled phase cost of a contact: pair draw, policy sampling and the
+     state and pair-mass updates — the markov hot path's dominant term *)
   let contact_tm = Hist.timer (Hist.get probe.Probe.hists "sim_markov/contact") in
   Engine.observe h ~time:(Engine.start_time h) ~n:(State.n state);
   (* The seed count is maintained incrementally (arrival of a full set,
@@ -94,26 +114,30 @@ let shard_model config ~probe ~observer ~until ~initial ~shard ~shards ~rng ~sen
   let seeds = ref (State.count state full) in
   let us = p.us and mu = p.mu and gamma = p.gamma in
   let immediate = Params.immediate_departure p in
-  (* Rate bands, stashed by [total_rate] for [apply]'s dispatch. *)
-  let rate_arrival = ref (Params.lambda_total p /. float_of_int shards) in
-  let rate_seed_contact = ref 0.0 in
-  let rate_peer_contact = ref 0.0 in
-  let rate_abort = ref 0.0 in
+  let rate_arrival = Params.lambda_total p /. float_of_int shards in
+  let b =
+    { seed_local = 0.0; seed_remote = 0.0; peer_local = 0.0; peer_remote = 0.0; abort = 0.0 }
+  in
   let total_rate () =
     let n = State.n state in
     let s = !seeds in
-    rate_seed_contact :=
-      (if shard = 0 && Shard.visible view ~local_n:n > 0 && Faults.seed_up frun then us
-       else 0.0);
-    rate_peer_contact := mu *. float_of_int n;
-    rate_abort := abort_rate *. float_of_int (n - s);
-    let rate_departure = if immediate then 0.0 else gamma *. float_of_int s in
-    !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort +. rate_departure
+    let vis = Shard.visible view ~local_n:n in
+    let inv = if vis = 0 then 0.0 else 1.0 /. float_of_int vis in
+    (* the share of the visible peers that live on other shards *)
+    let remote = float_of_int (vis - n) *. inv in
+    let seed = if shard = 0 && vis > 0 && Faults.seed_up frun then us else 0.0 in
+    b.seed_local <- rate_arrival +. (seed *. float_of_int (n - s) *. inv);
+    b.seed_remote <- b.seed_local +. (seed *. remote);
+    b.peer_local <- b.seed_remote +. (mu *. float_of_int (Pair_mass.mass pairs) *. inv);
+    b.peer_remote <- b.peer_local +. (mu *. float_of_int n *. remote);
+    b.abort <- b.peer_remote +. (abort_rate *. float_of_int (n - s));
+    b.abort +. if immediate then 0.0 else gamma *. float_of_int s
   in
-  (* One contact resolution: [uploader] tries to push a piece to a local
-     peer of type [downloader].  Returns true iff the state changed. *)
-  let resolve ~uploader ~downloader ~time =
-    let c_t0 = Hist.tick contact_tm in
+  (* One contact resolution: [uploader] tries to push a piece to the
+     local peer in State slot [slot].  Returns true iff the state
+     changed.  [c_t0] starts the contact's phase timer. *)
+  let resolve ~c_t0 ~uploader ~slot ~time =
+    let downloader = State.slot_type state slot in
     let choice = Policy.sample config.policy ~rng ~k:p.k ~state ~uploader ~downloader in
     if tracing then
       Probe.contact probe ~time
@@ -132,32 +156,38 @@ let shard_model config ~probe ~observer ~until ~initial ~shard ~shards ~rng ~sen
           let target = Pieceset.add piece downloader in
           let completed = Pieceset.equal target full in
           if tracing then Probe.transfer probe ~time ~piece ~completed;
-          if completed then begin
-            counters.completions <- counters.completions + 1;
-            if immediate then begin
-              State.remove_peer state downloader;
-              counters.departures <- counters.departures + 1;
-              if tracing then Probe.departure probe ~time Completed
-            end
-            else begin
-              State.move_peer state ~from_:downloader ~to_:target;
-              incr seeds
-            end
+          if completed then counters.completions <- counters.completions + 1;
+          if completed && immediate then begin
+            Pair_mass.remove_at pairs slot;
+            counters.departures <- counters.departures + 1;
+            if tracing then Probe.departure probe ~time Completed
           end
-          else State.move_peer state ~from_:downloader ~to_:target;
+          else begin
+            Pair_mass.move_up_at pairs slot ~to_:target;
+            if completed then incr seeds
+          end;
           true
     in
     Hist.tock contact_tm c_t0;
     changed
   in
-  let contact uploader ~time =
+  (* The slot of a uniform local peer that is not a seed. *)
+  let non_seed_slot () =
+    let rank = Rng.int_below rng (State.n state - !seeds) in
+    let types = State.slot_types state and xs = State.slot_counts state in
+    let rec go s acc =
+      if (Array.unsafe_get types s :> int) = (full :> int) then go (s + 1) acc
+      else
+        let acc = acc + Array.unsafe_get xs s in
+        if acc > rank then s else go (s + 1) acc
+    in
+    go 0 0
+  in
+  let send_remote uploader ~time =
     let n = State.n state in
-    let r = Shard.route view rng ~local_n:n in
-    if r < n then resolve ~uploader ~downloader:(State.peer_at_rank state r) ~time
-    else begin
-      send ~time ~dst:(Shard.owner view (r - n)) { Shard.uploader };
-      false
-    end
+    let r = Rng.int_below rng (Shard.visible view ~local_n:n - n) in
+    send ~time ~dst:(Shard.owner view r) { Shard.uploader };
+    false
   in
   let changed_at ~time =
     let n' = State.n state in
@@ -168,34 +198,40 @@ let shard_model config ~probe ~observer ~until ~initial ~shard ~shards ~rng ~sen
   in
   let apply ~time ~u =
     let changed =
-      if u < !rate_arrival then begin
+      if u < rate_arrival then begin
         let idx = Dist.Alias.sample rng arrival_alias in
         let pieces = fst p.arrivals.(idx) in
-        State.add_peer state pieces;
+        Pair_mass.add_peer pairs pieces;
         if Pieceset.equal pieces full then incr seeds;
         counters.arrivals <- counters.arrivals + 1;
         if tracing then Probe.arrival probe ~time ~pieces;
         true
       end
-      else if u < !rate_arrival +. !rate_seed_contact then contact Policy.Fixed_seed ~time
-      else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact then
-        contact (Policy.Peer (State.sample_uniform_peer state ~draw:(Rng.int_below rng))) ~time
-      else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-      then begin
+      else if u < b.seed_local then begin
+        let c_t0 = Hist.tick contact_tm in
+        resolve ~c_t0 ~uploader:Policy.Fixed_seed ~slot:(non_seed_slot ()) ~time
+      end
+      else if u < b.seed_remote then send_remote Policy.Fixed_seed ~time
+      else if u < b.peer_local then begin
+        let c_t0 = Hist.tick contact_tm in
+        let up, down = Pair_mass.pick pairs (Rng.int_below rng (Pair_mass.mass pairs)) in
+        resolve ~c_t0 ~uploader:(Policy.Peer (State.slot_type state up)) ~slot:down ~time
+      end
+      else if u < b.peer_remote then
+        send_remote
+          (Policy.Peer (State.peer_at_rank state (Rng.int_below rng (State.n state))))
+          ~time
+      else if u < b.abort then begin
         (* Churn: a uniformly chosen in-progress peer abandons its
-           download.  rate_abort > 0 guarantees a non-seed peer exists. *)
-        let rec pick () =
-          let c = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
-          if Pieceset.equal c full then pick () else c
-        in
-        State.remove_peer state (pick ());
+           download.  A positive band guarantees a non-seed peer. *)
+        Pair_mass.remove_at pairs (non_seed_slot ());
         counters.aborted <- counters.aborted + 1;
         counters.departures <- counters.departures + 1;
         if tracing then Probe.departure probe ~time Aborted;
         true
       end
       else begin
-        State.remove_peer state full;
+        Pair_mass.remove_at pairs (State.slot state full);
         decr seeds;
         counters.departures <- counters.departures + 1;
         if tracing then Probe.departure probe ~time Seed_departed;
@@ -206,10 +242,12 @@ let shard_model config ~probe ~observer ~until ~initial ~shard ~shards ~rng ~sen
   in
   let sh_deliver ~time ~src:_ (msg : Shard.msg) =
     (* The target shard emptied since the sender looked: the contact
-       finds nobody and dissolves. *)
+       finds nobody and dissolves.  Otherwise the downloader is uniform
+       over the local peers, and the contact may be silent. *)
     if State.n state > 0 then begin
-      let downloader = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
-      if resolve ~uploader:msg.Shard.uploader ~downloader ~time then changed_at ~time
+      let c_t0 = Hist.tick contact_tm in
+      let slot = State.slot_at_rank state (Rng.int_below rng (State.n state)) in
+      if resolve ~c_t0 ~uploader:msg.Shard.uploader ~slot ~time then changed_at ~time
     end
   in
   let sh_sync ~time:_ ~populations =

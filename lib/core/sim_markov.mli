@@ -4,10 +4,18 @@
     we simulate the underlying {e contact process} the model is defined
     by — arrivals at rate [λ_total], fixed-seed contacts at rate [U_s],
     peer contacts at rate [μ·n], peer-seed departures at rate [γ·x_F] —
-    and resolve each contact with the piece-selection policy.  Contacts
-    with no useful piece are silent, exactly as in Section III.  The
-    induced jump rates on type counts are exactly Eq. (1) (a test checks
-    this against {!Rate.transitions}). *)
+    and resolve each contact with the piece-selection policy.
+
+    The simulation is {e rejection-free}: a contact whose uploader holds
+    nothing the downloader lacks is silent (Section III), a self-loop of
+    the chain, so only the useful contacts are raced.  With
+    [M = Σ_{A,B} x_A·x_B·1[A ⊄ B]] the useful pair mass ({!Pair_mass}),
+    peer contacts that change the state fire at rate [μ·M/n] and
+    fixed-seed ones at [U_s·(n − x_F)/n].  Under every policy the
+    usefulness constraint makes that rate policy-independent
+    (Theorem 14); the policy only picks the piece.  The induced jump
+    rates and holding times on type counts are exactly Eq. (1) (tests
+    check both against {!Rate.transitions}). *)
 
 module Pieceset = P2p_pieceset.Pieceset
 
@@ -23,7 +31,11 @@ val default_config : Params.t -> config
 
 type stats = {
   final_time : float;
-  events : int;  (** all exponential clock ticks, including silent contacts *)
+  events : int;
+      (** state changes (arrivals, transfers, departures), plus uploads
+          lost to a fault and, in sharded runs, cross-shard contact
+          sends and deliveries.  Silent contacts are not simulated, so
+          they are not events; the [max_events] budget counts these. *)
   arrivals : int;
   transfers : int;  (** successful piece uploads *)
   completions : int;  (** peers reaching the full collection *)
@@ -63,11 +75,14 @@ val run :
     [until], checked after every state-changing event, ends the run at
     the first event where it holds (sets [stopped]; the hybrid
     upward-handoff trigger); [sample_every] sets the grid for [samples]
-    (default [horizon/200]); [max_events] is a safety valve (default
-    200 million).  Returns the statistics and the final state.
+    (default [horizon/200]); [max_events] is a safety valve on
+    {!stats.events} (default 200 million).  Returns the statistics and
+    the final state.
 
     [probe] (default {!P2p_obs.Probe.none}) attaches telemetry: event
-    tracing (arrivals, contacts, transfers, departures, seed toggles),
+    tracing (arrivals, contacts, transfers, departures, seed toggles;
+    every traced contact is useful except on a delivered cross-shard
+    message, the one contact resolved without knowing its downloader),
     periodic swarm samples on the probe's own sim-time grid, and phase
     profiling.  The probe only ever {e observes} — it never draws from
     [rng] or touches the state — so any run with [probe = Probe.none]
@@ -91,8 +106,12 @@ val run_seeded :
 
     The swarm partitioned across shards and driven by
     {!Engine.drive_sharded}: λ/S arrivals per shard, local contact
-    initiation, global downloader routing with cross-shard contacts
-    resolved at sync barriers.  See DESIGN §17 for the protocol and the
+    initiation, global downloader choice with cross-shard contacts
+    resolved at sync barriers.  Each shard splits its contact rate by
+    the visible global population [N_vis]: useful local contacts at
+    [μ·M/N_vis] (and [U_s·(n − x_F)/N_vis] on shard 0), remote ones at
+    [μ·n·(N_vis − n)/N_vis] (and [U_s·(N_vis − n)/N_vis]); only the
+    remote ones can still turn out silent, on delivery.  See DESIGN §17 for the protocol and the
     determinism contract (reproducible for a fixed shard count and any
     [jobs]; trajectories change when the shard count changes). *)
 

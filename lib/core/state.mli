@@ -56,11 +56,40 @@ val peer_at_rank : t -> int -> Pieceset.t
     peer.  Allocation-free.
     @raise Invalid_argument if [r] is out of range. *)
 
-val sample_uniform_peer : t -> draw:(int -> int) -> Pieceset.t
-(** Type of a peer chosen uniformly among all [n] peers; [draw m] must
-    return a uniform index in [0, m-1].  A linear scan of the dense
-    occupied-type array; allocation-free.
-    @raise Invalid_argument on the empty state. *)
+(** {1 Slots}
+
+    The occupied types sit in slots [[0, occupied)].  A type keeps its
+    slot while occupied; a new type takes slot [occupied - 1]; a type
+    whose count reaches zero is swap-removed: the last slot moves into
+    its place.  These operations let an incremental bookkeeper (see
+    {!Pair_mass}) keep per-type data in a parallel array, mirroring the
+    swap, without a second type → slot table.  Each costs the same as
+    its type-keyed counterpart, or less. *)
+
+val slot : t -> Pieceset.t -> int
+(** The type's slot, or [-1] when unoccupied. *)
+
+val slot_type : t -> int -> Pieceset.t
+
+val slot_types : t -> Pieceset.t array
+val slot_counts : t -> int array
+(** The slot arrays themselves, for tight loops over slots
+    [[0, occupied)] (entries past that are garbage).  Read-only, and
+    valid only until the next mutation, which may replace them. *)
+
+val slot_at_rank : t -> int -> int
+(** The slot of the peer of rank [r], as in {!peer_at_rank}.
+    @raise Invalid_argument if [r] is out of range. *)
+
+val add_peer_slot : t -> Pieceset.t -> int
+(** {!add_peer}, returning the type's slot. *)
+
+val remove_peer_at : t -> int -> unit
+(** Remove one peer of the type in the given slot. *)
+
+val move_peer_at : t -> int -> to_:Pieceset.t -> int
+(** Move one peer of the type in the given slot to type [to_] (the
+    source slot may be swap-removed first); returns [to_]'s slot. *)
 
 val count_subset_peers : t -> Pieceset.t -> int
 (** [Σ_{C ⊆ S} x_C]: the paper's [E_S]. *)

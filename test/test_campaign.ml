@@ -559,9 +559,14 @@ let run_p2psim args =
 
 let test_sigint_subprocess_resume () =
   with_temp_dir (fun dir ->
-      (* sized so the full sweep takes seconds: SIGINT at ~0.5s lands
-         mid-campaign *)
-      let spec = grid_spec ~horizon:600.0 () in
+      (* Sized by cell count, not by per-cell simulated work, so the
+         test does not depend on how fast the simulator is: many short
+         cells, and the signal goes out only once the store shows the
+         campaign mid-run (the first checkpoint, written every 5 cells,
+         is on disk). *)
+      let steps = 30 in
+      let spec = grid_spec ~steps () in
+      let cells = steps * steps in
       let spec_file = dir / "spec.json" in
       write_spec_file spec_file spec;
       let store = dir / "store" in
@@ -570,7 +575,11 @@ let test_sigint_subprocess_resume () =
           [ "campaign"; "run"; spec_file; "--dir"; store; "--jobs"; "2";
             "--checkpoint-every"; "5" ]
       in
-      Unix.sleepf 0.5;
+      let checkpoint = store / "checkpoint.json" in
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      while (not (Sys.file_exists checkpoint)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.002
+      done;
       (try Unix.kill pid Sys.sigint with Unix.Unix_error (Unix.ESRCH, _, _) -> ());
       let _, status = Unix.waitpid [] pid in
       (match status with
@@ -590,7 +599,7 @@ let test_sigint_subprocess_resume () =
       | Ok json ->
           Alcotest.(check bool) "progress was persisted" true
             (match Option.bind (Json.member "cells_done" json) Json.to_int_opt with
-            | Some n -> n > 0 && n < 100
+            | Some n -> n > 0 && n < cells
             | None -> false));
       (* resume in a subprocess, then compare against a clean in-process run *)
       let pid = run_p2psim [ "campaign"; "resume"; "--dir"; store; "--jobs"; "2" ] in

@@ -59,6 +59,23 @@ let test_initial_state_respected () =
   (* a stable system recovers even from a 200-peer one-club start *)
   Alcotest.(check string) "recovers" "appears-stable" (Classify.verdict_to_string r.verdict)
 
+(* A transient swarm whose event budget runs out early: the state is
+   frozen from there to the horizon, and that flat tail must not be read
+   as stability. *)
+let test_truncated_run_inconclusive () =
+  let transient = Scenario.flash_crowd ~k:4 ~lambda:3.0 ~us:1.0 ~mu:1.0 ~gamma:2.0 in
+  let stats, _ =
+    Sim_markov.run_seeded ~max_events:3_000 ~seed:7 (Sim_markov.default_config transient)
+      ~horizon:2_000.0
+  in
+  Alcotest.(check bool) "the budget truncated the run" true stats.truncated;
+  let r = Classify.of_stats stats in
+  Alcotest.(check bool)
+    (Printf.sprintf "verdict %s is not appears-stable" (Classify.verdict_to_string r.verdict))
+    true
+    (r.verdict <> Classify.Appears_stable);
+  Alcotest.(check string) "inconclusive" "inconclusive" (Classify.verdict_to_string r.verdict)
+
 let () =
   Alcotest.run "classify"
     [
@@ -71,5 +88,7 @@ let () =
           Alcotest.test_case "end to end" `Quick test_run_end_to_end;
           Alcotest.test_case "majority" `Quick test_majority_votes;
           Alcotest.test_case "initial state" `Quick test_initial_state_respected;
+          Alcotest.test_case "truncated run is inconclusive" `Quick
+            test_truncated_run_inconclusive;
         ] );
     ]

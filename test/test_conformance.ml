@@ -10,12 +10,17 @@ open P2p_core
 module PS = P2p_pieceset.Pieceset
 module Rng = P2p_prng.Rng
 
-(* ---- 1. empirical first-jump distribution vs the generator row ---- *)
+(* ---- 1. empirical first-jump law vs the generator row ---- *)
 
-(* From a frozen state, the probability that the first state change is a
-   given transition equals rate/total_rate.  We measure it by running many
-   very short simulations from that state and diffing states. *)
-let test_first_jump_distribution () =
+(* From a frozen state the first state change is a given transition with
+   probability rate/total_rate, and it happens after an Exp(total_rate)
+   holding time, where total_rate sums the generator row
+   ([Rate.transitions]) — silent contacts are self-loops and do not
+   count.  We measure both by running many very short simulations from
+   that state and diffing states, under two policies (the generator row
+   depends on the policy; its total does not, by Theorem 14).  The state
+   has seeds in their dwell stage, so every contact band is live. *)
+let test_first_jump_law () =
   let p =
     Params.make ~k:2 ~us:0.7 ~mu:1.0 ~gamma:2.0
       ~arrivals:[ (PS.empty, 0.6); (PS.singleton 0, 0.4) ]
@@ -24,54 +29,72 @@ let test_first_jump_distribution () =
     [ (PS.empty, 4); (PS.singleton 0, 2); (PS.singleton 1, 1); (PS.full ~k:2, 2) ]
   in
   let state0 = State.of_counts initial in
-  let transitions = Rate.transitions p state0 in
-  let total_rate = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 transitions in
   (* key the expected distribution by the resulting state fingerprint *)
   let fingerprint st =
     String.concat ";"
       (List.map (fun (c, n) -> Printf.sprintf "%d:%d" (PS.to_index c) n) (State.to_alist st))
   in
-  let expected = Hashtbl.create 16 in
-  List.iter
-    (fun (tr, rate) ->
-      let next = State.copy state0 in
-      Rate.apply p next tr;
-      let key = fingerprint next in
-      Hashtbl.replace expected key
-        (rate /. total_rate +. Option.value (Hashtbl.find_opt expected key) ~default:0.0))
-    transitions;
-  (* simulate the first jump many times *)
-  let observed = Hashtbl.create 16 in
-  let reps = 60_000 in
-  let rng = Rng.of_seed 1 in
-  let config = { (Sim_markov.default_config p) with initial } in
-  for _ = 1 to reps do
-    (* run until the first state change using the observer *)
-    let first = ref None in
-    let observer ~time:_ ~state =
-      if Option.is_none !first then first := Some (fingerprint state)
-    in
-    (* a long-enough horizon that a change almost surely happens *)
-    ignore (Sim_markov.run ~observer ~rng config ~horizon:(60.0 /. total_rate));
-    match !first with
-    | Some key ->
-        Hashtbl.replace observed key
-          (1 + Option.value (Hashtbl.find_opt observed key) ~default:0)
-    | None -> ()
-  done;
-  let seen = Hashtbl.fold (fun _ c acc -> acc + c) observed 0 in
-  Alcotest.(check bool) "almost all runs jumped" true (seen > reps * 99 / 100);
-  Hashtbl.iter
-    (fun key prob ->
-      let freq =
-        float_of_int (Option.value (Hashtbl.find_opt observed key) ~default:0)
-        /. float_of_int seen
+  let check_policy ~seed policy =
+    let name = policy.Policy.name in
+    let transitions = Rate.transitions ~policy p state0 in
+    let total_rate = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 transitions in
+    let expected = Hashtbl.create 16 in
+    List.iter
+      (fun (tr, rate) ->
+        let next = State.copy state0 in
+        Rate.apply p next tr;
+        let key = fingerprint next in
+        Hashtbl.replace expected key
+          (rate /. total_rate +. Option.value (Hashtbl.find_opt expected key) ~default:0.0))
+      transitions;
+    (* simulate the first jump many times *)
+    let observed = Hashtbl.create 16 in
+    let holding = P2p_stats.Welford.create () in
+    let reps = 60_000 in
+    let rng = Rng.of_seed seed in
+    let config = { (Sim_markov.default_config p) with policy; initial } in
+    for _ = 1 to reps do
+      (* run until the first state change using the observer *)
+      let first = ref None in
+      let observer ~time ~state =
+        if Option.is_none !first then first := Some (time, fingerprint state)
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "jump to %s: theory %.4f empirical %.4f" key prob freq)
-        true
-        (Float.abs (prob -. freq) < 0.01))
-    expected
+      (* a long-enough horizon that a change almost surely happens *)
+      ignore (Sim_markov.run ~observer ~rng config ~horizon:(60.0 /. total_rate));
+      match !first with
+      | Some (time, key) ->
+          P2p_stats.Welford.add holding time;
+          Hashtbl.replace observed key
+            (1 + Option.value (Hashtbl.find_opt observed key) ~default:0)
+      | None -> ()
+    done;
+    let seen = Hashtbl.fold (fun _ c acc -> acc + c) observed 0 in
+    Alcotest.(check bool) (name ^ ": almost all runs jumped") true (seen > reps * 99 / 100);
+    Hashtbl.iter
+      (fun key prob ->
+        let freq =
+          float_of_int (Option.value (Hashtbl.find_opt observed key) ~default:0)
+          /. float_of_int seen
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: jump to %s: theory %.4f empirical %.4f" name key prob freq)
+          true
+          (Float.abs (prob -. freq) < 0.01))
+      expected;
+    (* The holding time is Exp(total_rate): its sample mean has standard
+       error (1/total_rate)/sqrt(seen).  4.5 standard errors is a
+       two-sided false-alarm rate below 1e-5. *)
+    let mean = P2p_stats.Welford.mean holding in
+    let theory = 1.0 /. total_rate in
+    let tol = 4.5 *. theory /. Float.sqrt (float_of_int seen) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: mean holding time %.5f vs 1/total_rate %.5f (tol %.5f)" name mean
+         theory tol)
+      true
+      (Float.abs (mean -. theory) <= tol)
+  in
+  check_policy ~seed:1 Policy.random_useful;
+  check_policy ~seed:2 Policy.rarest_first
 
 (* ---- 2. four engines, one stationary mean ---- *)
 
@@ -228,7 +251,7 @@ let () =
     [
       ( "conformance",
         [
-          Alcotest.test_case "first-jump law = generator row" `Slow test_first_jump_distribution;
+          Alcotest.test_case "first-jump law = generator row" `Slow test_first_jump_law;
           Alcotest.test_case "four engines, one mean" `Slow test_four_engines_agree;
           Alcotest.test_case "fluid = generator drift" `Quick test_fluid_equals_generator_everywhere;
           Alcotest.test_case "coded engines agree" `Slow test_coded_engines_agree;

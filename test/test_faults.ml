@@ -107,19 +107,27 @@ let test_fault_schedule_deterministic () =
    result silently changes.  Re-pinned when the hot-path samplers
    changed the RNG draw order (fast piece selection, alias-method
    arrivals); the chi-square suites in test_policy and test_dist check
-   the new draw path agrees in distribution with the spec. *)
+   the new draw path agrees in distribution with the spec.
+
+   The markov golden was re-pinned again when Sim_markov became
+   rejection-free: it races only the jumps that change the state, so
+   silent contacts are no longer events and the draws, hence the sample
+   path, changed.  The first-jump conformance test checks the new path
+   against the generator row, holding time included. *)
 
 let test_golden_no_fault_markov () =
   let stats, _ =
     Sim_markov.run_seeded ~seed:2024 (Sim_markov.default_config stable_params) ~horizon:500.0
   in
-  Alcotest.(check int) "events" 2080 stats.events;
-  Alcotest.(check int) "transfers" 651 stats.transfers;
-  Alcotest.(check int) "final n" 4 stats.final_n;
+  Alcotest.(check int) "events" 1221 stats.events;
+  Alcotest.(check int) "transfers" 732 stats.transfers;
+  Alcotest.(check int) "final n" 1 stats.final_n;
+  Alcotest.(check int) "every event changes the state" stats.events
+    (stats.arrivals + stats.transfers + stats.departures);
   Alcotest.(check bool)
     (Printf.sprintf "time-avg N %.17g unchanged" stats.time_avg_n)
     true
-    (Float.equal stats.time_avg_n 2.6027392530325715);
+    (Float.equal stats.time_avg_n 3.2512901352202777);
   Alcotest.(check int) "no outage time" 0 (compare stats.outage_time 0.0);
   Alcotest.(check int) "no aborts" 0 stats.aborted_peers;
   Alcotest.(check int) "no losses" 0 stats.lost_transfers

@@ -79,7 +79,7 @@ let test_sample_uniform_distribution () =
   let hits = ref 0 in
   let n = 40_000 in
   for _ = 1 to n do
-    if PS.is_empty (State.sample_uniform_peer s ~draw:(P2p_prng.Rng.int_below rng)) then incr hits
+    if PS.is_empty (State.peer_at_rank s (P2p_prng.Rng.int_below rng (State.n s))) then incr hits
   done;
   let freq = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "3/4 of draws" true (Float.abs (freq -. 0.75) < 0.01)
@@ -87,7 +87,7 @@ let test_sample_uniform_distribution () =
 let test_sample_empty_raises () =
   Alcotest.(check bool) "raises" true
     (try
-       ignore (State.sample_uniform_peer (State.create ()) ~draw:(fun _ -> 0));
+       ignore (State.peer_at_rank (State.create ()) 0);
        false
      with Invalid_argument _ -> true)
 
@@ -116,7 +116,7 @@ let test_incremental_counts_match_rescan () =
   let random_type () = PS.of_index (P2p_prng.Rng.int_below rng (1 lsl k)) in
   let random_occupied () =
     (* A uniformly chosen peer's type — only valid when n > 0. *)
-    State.sample_uniform_peer s ~draw:(P2p_prng.Rng.int_below rng)
+    State.peer_at_rank s (P2p_prng.Rng.int_below rng (State.n s))
   in
   for step = 1 to 5_000 do
     (match P2p_prng.Rng.int_below rng 3 with
@@ -141,6 +141,98 @@ let test_incremental_counts_match_rescan () =
         (State.piece_copies s ~k ~piece:i))
     (recount ())
 
+(* ---- the useful pair mass ---- *)
+
+(* Brute force from the counts alone: out(A) = Σ_B x_B·1[A ⊄ B] and
+   M = Σ_A x_A·out(A). *)
+let brute_out s a =
+  State.fold s ~init:0 ~f:(fun acc b x -> if PS.subset a b then acc else acc + x)
+
+let brute_mass s = State.fold s ~init:0 ~f:(fun acc a x -> acc + (x * brute_out s a))
+
+let check_pair_mass ~what pm =
+  let s = Pair_mass.state pm in
+  Alcotest.(check int) (what ^ ": mass") (brute_mass s) (Pair_mass.mass pm);
+  State.iter s (fun a _ ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: out(%s)" what (PS.to_string a))
+        (brute_out s a) (Pair_mass.out_of pm a))
+
+(* A peer moves up from the middle slot and empties it: State moves its
+   last slot into the hole, and the out(·) array has to follow. *)
+let test_pair_mass_swap_removal () =
+  let k = 3 in
+  let pm =
+    Pair_mass.create
+      (State.of_counts [ (PS.empty, 2); (PS.singleton 0, 1); (PS.singleton 1, 3) ])
+  in
+  let s = Pair_mass.state pm in
+  check_pair_mass ~what:"initial" pm;
+  let middle = State.slot s (PS.singleton 0) in
+  Alcotest.(check bool) "not the last slot" true (middle < State.occupied s - 1);
+  Pair_mass.move_up_at pm middle ~to_:(PS.of_list [ 0; 2 ]);
+  Alcotest.(check int) "emptied type" 0 (State.count s (PS.singleton 0));
+  check_pair_mass ~what:"after a middle move" pm;
+  Pair_mass.remove_at pm (State.slot s PS.empty);
+  Pair_mass.remove_at pm (State.slot s PS.empty);
+  check_pair_mass ~what:"after emptying slot 0" pm;
+  Pair_mass.move_up_at pm (State.slot s (PS.singleton 1)) ~to_:(PS.full ~k);
+  check_pair_mass ~what:"after a completion" pm;
+  Alcotest.(check bool) "move down refused" true
+    (try
+       Pair_mass.move_up_at pm (State.slot s (PS.full ~k)) ~to_:PS.empty;
+       false
+     with Invalid_argument _ -> true)
+
+let test_pair_mass_matches_recount () =
+  let rng = P2p_prng.Rng.of_seed 77 in
+  let k = 4 in
+  let pm = Pair_mass.create (State.of_counts [ (PS.empty, 3); (PS.singleton 2, 2) ]) in
+  let s = Pair_mass.state pm in
+  let random_slot () = State.slot_at_rank s (P2p_prng.Rng.int_below rng (State.n s)) in
+  let emptied = ref 0 in
+  for step = 1 to 4_000 do
+    let before = State.occupied s in
+    (* Small populations, so types empty (swap-removal) all the time. *)
+    (match P2p_prng.Rng.int_below rng 3 with
+    | 0 when State.n s < 12 ->
+        Pair_mass.add_peer pm (PS.of_index (P2p_prng.Rng.int_below rng (1 lsl k)))
+    | 0 | 1 -> if State.n s > 0 then Pair_mass.remove_at pm (random_slot ())
+    | _ ->
+        if State.n s > 0 then begin
+          let slot = random_slot () in
+          let from_ = State.slot_type s slot in
+          let extra = PS.of_index (P2p_prng.Rng.int_below rng (1 lsl k)) in
+          Pair_mass.move_up_at pm slot ~to_:(PS.union from_ extra)
+        end);
+    if State.occupied s < before then incr emptied;
+    check_pair_mass ~what:(Printf.sprintf "step %d" step) pm
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d types emptied" !emptied) true (!emptied > 100)
+
+(* [pick] over every r in [0, M) hits each ordered useful peer pair
+   exactly once: type pair (A, B) exactly x_A·x_B·1[A ⊄ B] times. *)
+let test_pair_mass_pick_exhaustive () =
+  let pm =
+    Pair_mass.create
+      (State.of_counts
+         [ (PS.empty, 3); (PS.singleton 0, 2); (PS.of_list [ 0; 1 ], 1); (PS.singleton 2, 4);
+           (PS.full ~k:3, 2) ])
+  in
+  let s = Pair_mass.state pm in
+  let hits = Hashtbl.create 16 in
+  for r = 0 to Pair_mass.mass pm - 1 do
+    let up, down = Pair_mass.pick pm r in
+    let key = (State.slot_type s up, State.slot_type s down) in
+    Hashtbl.replace hits key (1 + Option.value (Hashtbl.find_opt hits key) ~default:0)
+  done;
+  State.iter s (fun a xa ->
+      State.iter s (fun b xb ->
+          Alcotest.(check int)
+            (Printf.sprintf "pair %s -> %s" (PS.to_string a) (PS.to_string b))
+            (if PS.subset a b then 0 else xa * xb)
+            (Option.value (Hashtbl.find_opt hits (a, b)) ~default:0)))
+
 let () =
   Alcotest.run "state"
     [
@@ -159,5 +251,13 @@ let () =
           Alcotest.test_case "sample distribution" `Quick test_sample_uniform_distribution;
           Alcotest.test_case "sample empty" `Quick test_sample_empty_raises;
           Alcotest.test_case "equal" `Quick test_equal;
+        ] );
+      ( "pair mass",
+        [
+          Alcotest.test_case "swap-removal keeps out(.)" `Quick test_pair_mass_swap_removal;
+          Alcotest.test_case "incremental = brute-force recount" `Quick
+            test_pair_mass_matches_recount;
+          Alcotest.test_case "pick enumerates useful pairs" `Quick
+            test_pair_mass_pick_exhaustive;
         ] );
     ]
