@@ -45,62 +45,89 @@ let total_types x d =
    cross-check test pins bit-identity on integer-count states. *)
 let n_floor = 1e-9
 
-(* Γ_{C,C∪{i}} of Eq. (1) with real-valued occupancies; [c] is the dense
-   index (bitmask) of the type.  [us_scale] modulates the fixed seed's
-   rate (0 while a seed outage holds, 1 nominally). *)
-let flow (p : Params.t) ~us_scale x ~n ~c ~piece =
-  let xc = x.(c) in
-  if xc <= 0.0 || n <= 0.0 then 0.0
-  else begin
-    let cset = Pieceset.of_index c in
-    let seed_part = us_scale *. p.us /. float_of_int (Pieceset.missing_count ~k:p.k cset) in
-    let peer_part = ref 0.0 in
-    for s = 0 to dim p - 1 do
-      if x.(s) > 0.0 then begin
-        let sset = Pieceset.of_index s in
-        if Pieceset.mem piece sset then begin
-          let extra = Pieceset.cardinal (Pieceset.diff sset cset) in
-          peer_part := !peer_part +. (x.(s) /. float_of_int extra)
-        end
-      end
-    done;
-    xc /. n *. (seed_part +. (p.mu *. !peer_part))
-  end
-
 (* The full right-hand side, shared by the plain [derivative] (nominal
    parameters) and the fluid simulator (fault-modulated, augmented).
    With [us_scale = 1, abort_rate = 0, loss_factor = 1] and a bare
    [dim p] vector this computes bit-for-bit what the pre-adaptive
-   [derivative] did — the Lyapunov drift cross-check test pins that. *)
-let drift_into (p : Params.t) ~us_scale ~abort_rate ~loss_factor x dx =
-  let d = dim p in
-  if Array.length x < d then invalid_arg "Fluid.drift_into: state vector too short";
-  if Array.length dx < d then invalid_arg "Fluid.drift_into: output vector too short";
-  let augmented = Array.length dx >= d + aug_slots in
-  Array.fill dx 0 (Array.length dx) 0.0;
-  let pop = total_types x d in
-  let n = Float.max pop n_floor in
-  (* Arrivals. *)
-  Array.iter
-    (fun (c, rate) ->
-      let i = Pieceset.to_index c in
-      dx.(i) <- dx.(i) +. rate)
-    p.arrivals;
-  if augmented then dx.(d + aug_arrivals) <- Params.lambda_total p;
+   [derivative] did — the Lyapunov drift cross-check test pins that.
+
+   The transfer term Γ_{C,C∪{i}} of Eq. (1) at real-valued occupancies
+   is [x_c / n * (seed + μ Σ_{s ∋ i, x_s > 0} x_s / |s∖c|)].  For each
+   downloader [c], one pass over the occupied types gathers the peer
+   sums of all of [c]'s missing pieces at once: [s] adds
+   [x_s / |s∖c|] to every piece of [s∖c].  [share] holds [x_s / e] for
+   e = 1..|s| (the same IEEE division per term) and the occupied list
+   is ascending, so each piece's sum adds the same terms in the same
+   order as a per-piece scan over all types would.  The scratch is
+   staged once by [drift_into p]; the closure it returns owns it. *)
+let drift_into (p : Params.t) =
+  let d = dim p and k = p.k in
+  let popcount = Array.make d 0 and lowest = Array.make d 0 in
+  for m = 1 to d - 1 do
+    popcount.(m) <- popcount.(m lsr 1) + (m land 1);
+    lowest.(m) <- (if m land 1 = 1 then 0 else lowest.(m lsr 1) + 1)
+  done;
+  let occupied = Array.make d 0 in
+  let share = Array.make (d * k) 0.0 in
+  let peer = Array.make k 0.0 in
   let full = Pieceset.to_index (Params.full_set p) in
   let immediate = Params.immediate_departure p in
-  (* Transfers. *)
-  for c = 0 to d - 1 do
-    if c <> full && x.(c) > 0.0 then begin
-      let cset = Pieceset.of_index c in
-      Pieceset.iter
-        (fun piece ->
-          let raw = flow p ~us_scale x ~n ~c ~piece in
+  fun ~us_scale ~abort_rate ~loss_factor x dx ->
+    if Array.length x < d then invalid_arg "Fluid.drift_into: state vector too short";
+    if Array.length dx < d then invalid_arg "Fluid.drift_into: output vector too short";
+    let augmented = Array.length dx >= d + aug_slots in
+    Array.fill dx 0 (Array.length dx) 0.0;
+    let pop = total_types x d in
+    let n = Float.max pop n_floor in
+    (* Arrivals. *)
+    Array.iter
+      (fun (c, rate) ->
+        let i = Pieceset.to_index c in
+        dx.(i) <- dx.(i) +. rate)
+      p.arrivals;
+    if augmented then dx.(d + aug_arrivals) <- Params.lambda_total p;
+    let n_occ = ref 0 in
+    for s = 0 to d - 1 do
+      let xs = x.(s) in
+      if xs > 0.0 then begin
+        occupied.(!n_occ) <- s;
+        incr n_occ;
+        for e = 1 to popcount.(s) do
+          share.((s * k) + e - 1) <- xs /. float_of_int e
+        done
+      end
+    done;
+    let n_occ = !n_occ in
+    (* Transfers. *)
+    for j = 0 to n_occ - 1 do
+      let c = occupied.(j) in
+      if c <> full then begin
+        Array.fill peer 0 k 0.0;
+        for j' = 0 to n_occ - 1 do
+          let s = occupied.(j') in
+          let m = s land lnot c in
+          if m <> 0 then begin
+            let w = share.((s * k) + popcount.(m) - 1) in
+            let m = ref m in
+            while !m <> 0 do
+              let i = lowest.(!m) in
+              peer.(i) <- peer.(i) +. w;
+              m := !m land (!m - 1)
+            done
+          end
+        done;
+        let xn = x.(c) /. n in
+        let seed_part = us_scale *. p.us /. float_of_int (k - popcount.(c)) in
+        let missing = ref (full land lnot c) in
+        while !missing <> 0 do
+          let piece = lowest.(!missing) in
+          missing := !missing land (!missing - 1);
+          let raw = xn *. (seed_part +. (p.mu *. peer.(piece))) in
           if raw > 0.0 then begin
             (* A lost upload consumes the contact but moves no mass. *)
             let eff = raw *. loss_factor in
             dx.(c) <- dx.(c) -. eff;
-            let target = Pieceset.to_index (Pieceset.add piece cset) in
+            let target = c lor (1 lsl piece) in
             let completes = target = full in
             (* γ = ∞: completion is departure, mass vanishes. *)
             if not (completes && immediate) then dx.(target) <- dx.(target) +. eff;
@@ -112,34 +139,36 @@ let drift_into (p : Params.t) ~us_scale ~abort_rate ~loss_factor x dx =
                 if immediate then dx.(d + aug_departures) <- dx.(d + aug_departures) +. eff
               end
             end
-          end)
-        (Pieceset.complement ~k:p.k cset)
-    end
-  done;
-  (* Churn: every non-seed density drains at [abort_rate]. *)
-  if abort_rate > 0.0 then
-    for c = 0 to d - 1 do
-      if c <> full && x.(c) > 0.0 then begin
-        let r = abort_rate *. x.(c) in
-        dx.(c) <- dx.(c) -. r;
-        if augmented then begin
-          dx.(d + aug_departures) <- dx.(d + aug_departures) +. r;
-          dx.(d + aug_aborted) <- dx.(d + aug_aborted) +. r
-        end
+          end
+        done
       end
     done;
-  (* Peer-seed departures. *)
-  if not immediate then begin
-    let r = p.gamma *. x.(full) in
-    dx.(full) <- dx.(full) -. r;
-    if augmented then dx.(d + aug_departures) <- dx.(d + aug_departures) +. r
-  end;
-  if augmented then dx.(d + aug_pop_integral) <- pop
+    (* Churn: every non-seed density drains at [abort_rate]. *)
+    if abort_rate > 0.0 then
+      for c = 0 to d - 1 do
+        if c <> full && x.(c) > 0.0 then begin
+          let r = abort_rate *. x.(c) in
+          dx.(c) <- dx.(c) -. r;
+          if augmented then begin
+            dx.(d + aug_departures) <- dx.(d + aug_departures) +. r;
+            dx.(d + aug_aborted) <- dx.(d + aug_aborted) +. r
+          end
+        end
+      done;
+    (* Peer-seed departures. *)
+    if not immediate then begin
+      let r = p.gamma *. x.(full) in
+      dx.(full) <- dx.(full) -. r;
+      if augmented then dx.(d + aug_departures) <- dx.(d + aug_departures) +. r
+    end;
+    if augmented then dx.(d + aug_pop_integral) <- pop
+
+let nominal_drift p = drift_into p ~us_scale:1.0 ~abort_rate:0.0 ~loss_factor:1.0
 
 let derivative (p : Params.t) x =
   if Array.length x <> dim p then invalid_arg "Fluid.derivative: wrong vector size";
   let dx = Array.make (dim p) 0.0 in
-  drift_into p ~us_scale:1.0 ~abort_rate:0.0 ~loss_factor:1.0 x dx;
+  nominal_drift p x dx;
   dx
 
 let clamp_nonnegative x = Array.iteri (fun i v -> if v < 0.0 then x.(i) <- 0.0) x
@@ -159,7 +188,8 @@ let validate_integrate (p : Params.t) ~init ~dt ~horizon ~record_every =
 
 let integrate (p : Params.t) ~init ~dt ~horizon ~record_every =
   validate_integrate p ~init ~dt ~horizon ~record_every;
-  let f _t y = derivative p y in
+  let drift = nominal_drift p in
+  let f _t y dx = drift y dx in
   let times = ref [] and totals = ref [] and states = ref [] in
   let record t x =
     let x = Array.copy x in
@@ -201,11 +231,13 @@ let equilibrium ?(dt = 0.01) ?(horizon = 2000.0) ?(tol = 1e-7) (p : Params.t) ~i
   if not (Float.is_finite dt) || dt <= 0.0 then invalid_arg "Fluid.equilibrium: bad dt";
   if Float.is_nan horizon || horizon < 0.0 || not (Float.is_finite horizon) then
     invalid_arg "Fluid.equilibrium: bad horizon";
-  let f _t y = derivative p y in
+  let drift = nominal_drift p in
+  let f _t y dx = drift y dx in
+  let dx = Array.make (dim p) 0.0 in
   let converged ~t:_ ~y =
-    let x = derivative p y in
+    drift y dx;
     let scale = Float.max 1.0 (total_types y (dim p)) in
-    let norm = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x in
+    let norm = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 dx in
     norm < tol *. scale
   in
   let session = Ode.session ~control:(integrate_control ~dt) ~f ~t0:0.0 ~y0:init () in

@@ -71,6 +71,12 @@ val drift_into :
     least [dim p + aug_slots] entries the cumulative-flow rates are
     written after the densities.  With nominal parameters this is
     bit-identical to {!derivative}.
+
+    [drift_into p] stages a workspace (occupied-type list, per-type
+    shares, bit tables, per-piece sums) and returns a closure that owns
+    it, so stage once per run and call the closure per evaluation.  The
+    closure mutates that scratch on every call: it is not reentrant and
+    must not be shared across domains; stage one per domain instead.
     @raise Invalid_argument on short vectors. *)
 
 val clamp_nonnegative : float array -> unit

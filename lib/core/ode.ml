@@ -74,13 +74,13 @@ let d5 = 701980252875.0 /. 199316789632.0
 let d6 = -1453857185.0 /. 822651844.0
 let d7 = 69997945.0 /. 29380423.0
 
+type rhs = float -> float array -> float array -> unit
+
 type step = {
   st0 : float;
   sh : float;
   sy0 : float array;
   sy1 : float array;
-  sk1 : float array;  (* f(t0, y0) *)
-  sk7 : float array;  (* f(t0+h, y1): the FSAL stage *)
   serr : float;
   (* rcont3..rcont5 of Hairer's contd5; rcont1 = y0, rcont2 = y1 - y0. *)
   sr3 : float array;
@@ -103,55 +103,74 @@ let step_eval s t =
       s.sy0.(i)
       +. (theta *. (ydiff +. (theta1 *. (s.sr3.(i) +. (theta *. (s.sr4.(i) +. (theta1 *. s.sr5.(i)))))))))
 
-(* Scaled RMS error of the embedded difference. *)
-let err_norm ~control y0 y1 e =
-  let n = Array.length y0 in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    let sc = control.atol +. (control.rtol *. Float.max (Float.abs y0.(i)) (Float.abs y1.(i))) in
-    let q = e.(i) /. sc in
-    acc := !acc +. (q *. q)
-  done;
-  sqrt (!acc /. float_of_int n)
+(* The vectors one step works in.  A session owns one set and reuses it
+   for every step: accepting a step swaps [k1]/[k7] (FSAL) and the state
+   with [y1], so stepping allocates nothing. *)
+type stages = {
+  tmp : float array;  (* the stage input handed to [f] *)
+  mutable k1 : float array;  (* f(t, y) *)
+  k2 : float array;
+  k3 : float array;
+  k4 : float array;
+  k5 : float array;
+  k6 : float array;
+  mutable k7 : float array;  (* f(t + h, y1): the FSAL stage *)
+  mutable y1 : float array;  (* the 5th-order solution at t + h *)
+}
 
-(* Core step evaluation from a precomputed k1.  Writes the 7 stages and
-   the 5th-order y1; returns (y1, k7, err). *)
-let eval_step ~f ~control ~t ~y ~h ~k1 =
+let stages n =
+  let v () = Array.make n 0.0 in
+  { tmp = v (); k1 = v (); k2 = v (); k3 = v (); k4 = v (); k5 = v (); k6 = v (); k7 = v ();
+    y1 = v () }
+
+(* Core step evaluation from a precomputed [w.k1]: writes the stages
+   k2..k7 and the 5th-order [w.y1]; returns the scaled RMS error of the
+   embedded difference. *)
+let eval_step ~(f : rhs) ~control ~t ~y ~h w =
   let n = Array.length y in
-  let tmp = Array.make n 0.0 in
-  let stage c coeffs =
+  let tmp = w.tmp in
+  let stage c coeffs out =
     (* y + h * sum coeffs_j k_j, coeffs given as (coef, k) list *)
     for i = 0 to n - 1 do
       tmp.(i) <- y.(i) +. (h *. List.fold_left (fun acc (a, k) -> acc +. (a *. k.(i))) 0.0 coeffs)
     done;
-    f (t +. (c *. h)) tmp
+    f (t +. (c *. h)) tmp out
   in
-  let k2 = stage c2 [ (a21, k1) ] in
-  let k3 = stage c3 [ (a31, k1); (a32, k2) ] in
-  let k4 = stage c4 [ (a41, k1); (a42, k2); (a43, k3) ] in
-  let k5 = stage c5 [ (a51, k1); (a52, k2); (a53, k3); (a54, k4) ] in
-  let k6 = stage 1.0 [ (a61, k1); (a62, k2); (a63, k3); (a64, k4); (a65, k5) ] in
-  let y1 =
-    Array.init n (fun i ->
-        y.(i)
-        +. (h
-            *. ((b1 *. k1.(i)) +. (b3 *. k3.(i)) +. (b4 *. k4.(i)) +. (b5 *. k5.(i))
-               +. (b6 *. k6.(i)))))
-  in
-  let k7 = f (t +. h) y1 in
-  let e =
-    Array.init n (fun i ->
-        h
-        *. ((e1 *. k1.(i)) +. (e3 *. k3.(i)) +. (e4 *. k4.(i)) +. (e5 *. k5.(i)) +. (e6 *. k6.(i))
-           +. (e7 *. k7.(i))))
-  in
-  let err = err_norm ~control y y1 e in
-  (k2, k3, k4, k5, k6, y1, k7, err)
-
-let dense_coeffs ~h ~y0 ~y1 ~k1 ~k3 ~k4 ~k5 ~k6 ~k7 =
-  let n = Array.length y0 in
-  let r3 = Array.make n 0.0 and r4 = Array.make n 0.0 and r5 = Array.make n 0.0 in
+  let k1 = w.k1 and k2 = w.k2 and k3 = w.k3 and k4 = w.k4 and k5 = w.k5 and k6 = w.k6 in
+  stage c2 [ (a21, k1) ] k2;
+  stage c3 [ (a31, k1); (a32, k2) ] k3;
+  stage c4 [ (a41, k1); (a42, k2); (a43, k3) ] k4;
+  stage c5 [ (a51, k1); (a52, k2); (a53, k3); (a54, k4) ] k5;
+  stage 1.0 [ (a61, k1); (a62, k2); (a63, k3); (a64, k4); (a65, k5) ] k6;
+  let y1 = w.y1 in
   for i = 0 to n - 1 do
+    y1.(i) <-
+      y.(i)
+      +. (h
+          *. ((b1 *. k1.(i)) +. (b3 *. k3.(i)) +. (b4 *. k4.(i)) +. (b5 *. k5.(i))
+             +. (b6 *. k6.(i))))
+  done;
+  let k7 = w.k7 in
+  f (t +. h) y1 k7;
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    let e =
+      h
+      *. ((e1 *. k1.(i)) +. (e3 *. k3.(i)) +. (e4 *. k4.(i)) +. (e5 *. k5.(i)) +. (e6 *. k6.(i))
+         +. (e7 *. k7.(i)))
+    in
+    let sc = control.atol +. (control.rtol *. Float.max (Float.abs y.(i)) (Float.abs y1.(i))) in
+    let q = e /. sc in
+    acc := !acc +. (q *. q)
+  done;
+  sqrt (!acc /. float_of_int n)
+
+(* The dense-output coefficients of the step just evaluated in [w],
+   written into [r3], [r4], [r5]. *)
+let dense_coeffs ~h ~y0 w r3 r4 r5 =
+  let y1 = w.y1 and k1 = w.k1 and k3 = w.k3 and k4 = w.k4 and k5 = w.k5 and k6 = w.k6
+  and k7 = w.k7 in
+  for i = 0 to Array.length y0 - 1 do
     let ydiff = y1.(i) -. y0.(i) in
     let bspl = (h *. k1.(i)) -. ydiff in
     r3.(i) <- bspl;
@@ -160,35 +179,31 @@ let dense_coeffs ~h ~y0 ~y1 ~k1 ~k3 ~k4 ~k5 ~k6 ~k7 =
       h
       *. ((d1 *. k1.(i)) +. (d3 *. k3.(i)) +. (d4 *. k4.(i)) +. (d5 *. k5.(i)) +. (d6 *. k6.(i))
          +. (d7 *. k7.(i)))
-  done;
-  (r3, r4, r5)
+  done
 
 let try_step ~f ~control ~t ~y ~h =
   if not (Float.is_finite h && h > 0.0) then
     invalid_arg (Printf.sprintf "Ode.try_step: h must be finite > 0, got %g" h);
-  let k1 = f t y in
-  let _, k3, k4, k5, k6, y1, k7, err = eval_step ~f ~control ~t ~y ~h ~k1 in
-  let r3, r4, r5 = dense_coeffs ~h ~y0:y ~y1 ~k1 ~k3 ~k4 ~k5 ~k6 ~k7 in
-  {
-    st0 = t;
-    sh = h;
-    sy0 = Array.copy y;
-    sy1 = y1;
-    sk1 = k1;
-    sk7 = k7;
-    serr = err;
-    sr3 = r3;
-    sr4 = r4;
-    sr5 = r5;
-  }
+  let n = Array.length y in
+  let w = stages n in
+  f t y w.k1;
+  let err = eval_step ~f ~control ~t ~y ~h w in
+  let r3 = Array.make n 0.0 and r4 = Array.make n 0.0 and r5 = Array.make n 0.0 in
+  dense_coeffs ~h ~y0:y w r3 r4 r5;
+  { st0 = t; sh = h; sy0 = Array.copy y; sy1 = w.y1; serr = err; sr3 = r3; sr4 = r4; sr5 = r5 }
 
 type session = {
   ctrl : control;
-  mutable f : float -> float array -> float array;
+  mutable f : rhs;
   mutable t : float;
   mutable y : float array;
   mutable h : float;  (* the controller's proposed next step; 0 = not chosen yet *)
-  mutable fsal : float array option;  (* f(t, y) if still valid *)
+  w : stages;
+  mutable fsal : bool;  (* w.k1 = f(t, y) *)
+  (* Dense coefficients of the last accepted step. *)
+  r3 : float array;
+  r4 : float array;
+  r5 : float array;
   mutable n_steps : int;
   mutable n_rejected : int;
   mutable n_evals : int;
@@ -201,13 +216,18 @@ let session ?(control = default_control) ~f ~t0 ~y0 () =
   Array.iter
     (fun v -> if not (Float.is_finite v) then invalid_arg "Ode.session: non-finite initial state")
     y0;
+  let n = Array.length y0 in
   {
     ctrl = control;
     f;
     t = t0;
     y = Array.copy y0;
     h = (match control.init_step with Some h -> h | None -> 0.0);
-    fsal = None;
+    w = stages n;
+    fsal = false;
+    r3 = Array.make n 0.0;
+    r4 = Array.make n 0.0;
+    r5 = Array.make n 0.0;
     n_steps = 0;
     n_rejected = 0;
     n_evals = 0;
@@ -216,7 +236,7 @@ let session ?(control = default_control) ~f ~t0 ~y0 () =
 
 let set_rhs s f =
   s.f <- f;
-  s.fsal <- None
+  s.fsal <- false
 
 let time s = s.t
 let state s = s.y
@@ -231,15 +251,17 @@ let dense_eval s t =
   | None -> invalid_arg "Ode.dense_eval: no accepted step yet"
   | Some st -> step_eval st t
 
-let rhs s t y =
+let rhs s t y out =
   s.n_evals <- s.n_evals + 1;
-  s.f t y
+  s.f t y out
 
 (* Classic first-step heuristic (HNW I.4): balance |y|/|f| scales, probe
-   one Euler step, combine. *)
-let initial_step s ~k1 ~dir_limit =
+   one Euler step, combine.  The probe works in [w.y1] and [w.k2], which
+   the first step overwrites anyway. *)
+let initial_step s ~dir_limit =
   let c = s.ctrl in
   let n = Array.length s.y in
+  let k1 = s.w.k1 in
   let sc i = c.atol +. (c.rtol *. Float.abs s.y.(i)) in
   let d0 = ref 0.0 and d1 = ref 0.0 in
   for i = 0 to n - 1 do
@@ -251,8 +273,11 @@ let initial_step s ~k1 ~dir_limit =
   let h0 = if d0 < 1e-5 || d1 < 1e-5 then 1e-6 else 0.01 *. (d0 /. d1) in
   let h0 = Float.min h0 dir_limit in
   (* One explicit Euler probe to estimate the second derivative scale. *)
-  let y1 = Array.init n (fun i -> s.y.(i) +. (h0 *. k1.(i))) in
-  let k2 = rhs s (s.t +. h0) y1 in
+  let y1 = s.w.y1 and k2 = s.w.k2 in
+  for i = 0 to n - 1 do
+    y1.(i) <- s.y.(i) +. (h0 *. k1.(i))
+  done;
+  rhs s (s.t +. h0) y1 k2;
   let d2 = ref 0.0 in
   for i = 0 to n - 1 do
     let q = (k2.(i) -. k1.(i)) /. sc i in
@@ -297,14 +322,10 @@ let advance ?until ?on_step s ~to_ =
       running := false
     end
     else begin
-      let k1 =
-        match s.fsal with
-        | Some k -> k
-        | None ->
-            let k = rhs s s.t s.y in
-            s.fsal <- Some k;
-            k
-      in
+      if not s.fsal then begin
+        rhs s s.t s.y s.w.k1;
+        s.fsal <- true
+      end;
       let remaining = to_ -. s.t in
       if remaining <= Float.abs to_ *. 1e-14 then begin
         (* Within float resolution of the target: snap rather than force a
@@ -313,13 +334,13 @@ let advance ?until ?on_step s ~to_ =
         running := false
       end
       else begin
-      if s.h <= 0.0 then s.h <- initial_step s ~k1 ~dir_limit:remaining;
+      if s.h <= 0.0 then s.h <- initial_step s ~dir_limit:remaining;
       let h = Float.min (Float.min s.h c.max_step) remaining in
       if h <= Float.abs s.t *. 1e-14 +. 1e-300 then
         failwith
           (Printf.sprintf "Ode.advance: step size underflow at t = %g (h = %g)" s.t h);
       s.n_evals <- s.n_evals + 6;
-      let _, k3, k4, k5, k6, y1, k7, err = eval_step ~f:s.f ~control:c ~t:s.t ~y:s.y ~h ~k1 in
+      let err = eval_step ~f:s.f ~control:c ~t:s.t ~y:s.y ~h s.w in
       if Float.is_nan err || err > 1.0 then begin
         (* Reject: shrink and retry.  A NaN error means the step left the
            domain entirely; halve hard. *)
@@ -334,15 +355,21 @@ let advance ?until ?on_step s ~to_ =
       end
       else begin
         (* Accept. *)
-        let r3, r4, r5 = dense_coeffs ~h ~y0:s.y ~y1 ~k1 ~k3 ~k4 ~k5 ~k6 ~k7 in
+        let w = s.w and y0 = s.y in
+        dense_coeffs ~h ~y0 w s.r3 s.r4 s.r5;
         let st =
-          { st0 = s.t; sh = h; sy0 = s.y; sy1 = y1; sk1 = k1; sk7 = k7; serr = err;
-            sr3 = r3; sr4 = r4; sr5 = r5 }
+          { st0 = s.t; sh = h; sy0 = y0; sy1 = w.y1; serr = err; sr3 = s.r3; sr4 = s.r4;
+            sr5 = s.r5 }
         in
         s.last <- Some st;
         s.t <- s.t +. h;
-        s.y <- y1;
-        s.fsal <- Some k7;
+        (* The new state is [y1] and its derivative [k7] (FSAL); the old
+           vectors become the next step's scratch. *)
+        s.y <- w.y1;
+        w.y1 <- y0;
+        let k1 = w.k1 in
+        w.k1 <- w.k7;
+        w.k7 <- k1;
         s.n_steps <- s.n_steps + 1;
         (* Next proposed step from the accepted error. *)
         let fac =
@@ -355,7 +382,7 @@ let advance ?until ?on_step s ~to_ =
               let tc = locate_crossing st ~pred in
               s.t <- tc;
               s.y <- step_eval st tc;
-              s.fsal <- None;
+              s.fsal <- false;
               result := Stopped tc;
               true
           | _ -> false

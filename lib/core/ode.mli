@@ -13,9 +13,9 @@
     every dense sample and every {!advance} stop time — is a pure function
     of the inputs.  The hybrid simulator's switch points rely on this.
 
-    The module is generic over [f : t -> y -> dy] on [float array]s; it
-    knows nothing about swarms.  {!Fluid} instantiates it for the
-    mean-field ODE. *)
+    The module is generic over an in-place right-hand side {!rhs} on
+    [float array]s; it knows nothing about swarms.  {!Fluid}
+    instantiates it for the mean-field ODE. *)
 
 (** {1 Error control} *)
 
@@ -36,6 +36,13 @@ val control :
 (** @raise Invalid_argument if a tolerance is not finite positive, the
     step parameters are not positive, or [max_steps < 1]. *)
 
+(** {1 Right-hand sides} *)
+
+type rhs = float -> float array -> float array -> unit
+(** [f t y dy] writes the derivative at [(t, y)] into every entry of
+    [dy] (same length as [y]).  [f] must not keep [y] or [dy]: both are
+    stage vectors the stepper reuses. *)
+
 (** {1 Raw embedded steps (building block, exposed for property tests)} *)
 
 type step
@@ -43,7 +50,7 @@ type step
     pair, the scaled error estimate, and the dense-output coefficients. *)
 
 val try_step :
-  f:(float -> float array -> float array) ->
+  f:rhs ->
   control:control ->
   t:float ->
   y:float array ->
@@ -69,21 +76,22 @@ val step_eval : step -> float -> float array
 type session
 (** Mutable integration state: current [(t, y)], the controller's step
     size, the FSAL stage, and the accepted/rejected/evaluation counters.
-    One session per simulated trajectory. *)
+    One session per simulated trajectory.  It allocates its stage
+    vectors once, so integrating allocates nothing per step. *)
 
 val session :
-  ?control:control -> f:(float -> float array -> float array) -> t0:float -> y0:float array ->
-  unit -> session
+  ?control:control -> f:rhs -> t0:float -> y0:float array -> unit -> session
 (** @raise Invalid_argument if [t0] is not finite or [y0] is empty or
     contains a non-finite value. *)
 
-val set_rhs : session -> (float -> float array -> float array) -> unit
+val set_rhs : session -> rhs -> unit
 (** Swap the right-hand side (e.g. a fault toggled a drift term off).
     Invalidates the FSAL cache; the next step re-evaluates. *)
 
 val time : session -> float
 val state : session -> float array
-(** The live state vector — copy it if you keep it. *)
+(** The live state vector.  The session reuses it as scratch once it
+    steps again, so copy it if you keep it. *)
 
 val steps : session -> int
 (** Accepted steps so far. *)
@@ -119,7 +127,8 @@ val advance :
 
 val dense_eval : session -> float -> float array
 (** Interpolate within the {e last accepted step} (valid between
-    {!last_step_start} and {!time}).  Only meaningful inside [on_step].
+    {!last_step_start} and {!time}).  Only meaningful inside [on_step]:
+    the next step reuses the vectors it reads.
     @raise Invalid_argument outside that window. *)
 
 val last_step_start : session -> float

@@ -63,15 +63,14 @@ let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizo
   in
   let abort_rate = config.faults.Faults.abort_rate in
   let loss_factor = 1.0 -. config.faults.Faults.loss_prob in
+  let drift = Fluid.drift_into p in
   let common, (session, final) =
     Engine.drive_continuous ?probe ?sample_every ?resume ~name:"sim_fluid" ~rng
       ~faults:config.faults ~horizon (fun h ->
         let frun = Engine.faults h in
-        let rhs _t y =
-          let dy = Array.make (d + Fluid.aug_slots) 0.0 in
+        let rhs _t y dy =
           let us_scale = if Faults.seed_up frun then 1.0 else 0.0 in
-          Fluid.drift_into p ~us_scale ~abort_rate ~loss_factor y dy;
-          dy
+          drift ~us_scale ~abort_rate ~loss_factor y dy
         in
         let session =
           Ode.session ~control ~f:rhs ~t0:(Engine.start_time h) ~y0 ()

@@ -130,32 +130,44 @@ let test_four_engines_agree () =
 
 (* ---- 3. fluid drift equals generator mean drift on random states ---- *)
 
+(* K = 3 with dense random counts, then K = 5 dense and sparse (each type
+   occupied with probability 1/8), so the RHS's skip of empty types is
+   checked against the generator too. *)
 let test_fluid_equals_generator_everywhere () =
   let rng = Rng.of_seed 5 in
-  let p =
-    Params.make ~k:3 ~us:0.5 ~mu:1.3 ~gamma:1.8
-      ~arrivals:[ (PS.empty, 0.7); (PS.of_list [ 0; 1 ], 0.2) ]
-  in
-  for _ = 1 to 40 do
-    let entries =
-      List.filter_map
+  let check p ~count =
+    let d = 1 lsl p.Params.k in
+    for _ = 1 to 40 do
+      let entries =
+        List.filter_map
+          (fun c ->
+            let count = count () in
+            if count > 0 then Some (PS.of_index c, count) else None)
+          (List.init d (fun i -> i))
+      in
+      let s = State.of_counts entries in
+      let x = Fluid.of_state ~k:p.k s in
+      let dx = Fluid.derivative p x in
+      List.iter
         (fun c ->
-          let count = Rng.int_below rng 6 in
-          if count > 0 then Some (PS.of_index c, count) else None)
-        (List.init 8 (fun i -> i))
-    in
-    let s = State.of_counts entries in
-    let x = Fluid.of_state ~k:3 s in
-    let dx = Fluid.derivative p x in
-    List.iter
-      (fun c ->
-        let f st = float_of_int (State.count st (PS.of_index c)) in
-        let generator_drift = Lyapunov.drift p ~f s in
-        Alcotest.(check (float 1e-9))
-          (Printf.sprintf "type %d" c)
-          generator_drift dx.(c))
-      (List.init 8 (fun i -> i))
-  done
+          let f st = float_of_int (State.count st (PS.of_index c)) in
+          let generator_drift = Lyapunov.drift p ~f s in
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "k=%d type %d" p.k c)
+            generator_drift dx.(c))
+        (List.init d (fun i -> i))
+    done
+  in
+  check
+    (Params.make ~k:3 ~us:0.5 ~mu:1.3 ~gamma:1.8
+       ~arrivals:[ (PS.empty, 0.7); (PS.of_list [ 0; 1 ], 0.2) ])
+    ~count:(fun () -> Rng.int_below rng 6);
+  let k5 =
+    Params.make ~k:5 ~us:0.9 ~mu:1.1 ~gamma:2.5
+      ~arrivals:[ (PS.empty, 1.2); (PS.of_list [ 0; 3 ], 0.4); (PS.of_list [ 1; 2; 4 ], 0.3) ]
+  in
+  check k5 ~count:(fun () -> Rng.int_below rng 6);
+  check k5 ~count:(fun () -> if Rng.int_below rng 8 = 0 then 1 + Rng.int_below rng 9 else 0)
 
 (* ---- 4. coded engines: agent vs type-level vs exact ---- *)
 

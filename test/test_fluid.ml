@@ -141,6 +141,140 @@ let test_grid_times_exact () =
     (fun i t -> Alcotest.(check (float 0.0)) (Printf.sprintf "grid %d" i) (float_of_int i *. 1.0) t)
     traj.times
 
+(* The per-(type, piece) flow sum the RHS computed before its one-pass
+   kernel: every missing piece of every occupied type rescans all 2^K
+   types.  Test-only oracle: [drift_into] must match it bit for bit. *)
+let reference_drift (p : Params.t) ~us_scale ~abort_rate ~loss_factor x dx =
+  let d = Fluid.dim p and full = (1 lsl p.k) - 1 and imm = Params.immediate_departure p in
+  let aug = Array.length dx >= d + Fluid.aug_slots in
+  let add_aug slot v = if aug then dx.(d + slot) <- dx.(d + slot) +. v in
+  Array.fill dx 0 (Array.length dx) 0.0;
+  let pop = ref 0.0 in
+  for i = 0 to d - 1 do pop := !pop +. x.(i) done;
+  let n = Float.max !pop 1e-9 in
+  Array.iter (fun (c, rate) -> dx.(PS.to_index c) <- dx.(PS.to_index c) +. rate) p.arrivals;
+  if aug then dx.(d + Fluid.aug_arrivals) <- Params.lambda_total p;
+  for c = 0 to d - 1 do
+    if c <> full && x.(c) > 0.0 then
+      PS.iter
+        (fun piece ->
+          let peer = ref 0.0 in
+          for s = 0 to d - 1 do
+            if x.(s) > 0.0 && PS.mem piece (PS.of_index s) then
+              let extra = PS.cardinal (PS.diff (PS.of_index s) (PS.of_index c)) in
+              peer := !peer +. (x.(s) /. float_of_int extra)
+          done;
+          let seed = us_scale *. p.us /. float_of_int (PS.missing_count ~k:p.k (PS.of_index c)) in
+          let raw = x.(c) /. n *. (seed +. (p.mu *. !peer)) in
+          if raw > 0.0 then begin
+            let eff = raw *. loss_factor and target = c lor (1 lsl piece) in
+            dx.(c) <- dx.(c) -. eff;
+            if not (target = full && imm) then dx.(target) <- dx.(target) +. eff;
+            add_aug Fluid.aug_transfers eff;
+            add_aug Fluid.aug_lost (raw -. eff);
+            if target = full then add_aug Fluid.aug_completions eff;
+            if target = full && imm then add_aug Fluid.aug_departures eff
+          end)
+        (PS.complement ~k:p.k (PS.of_index c))
+  done;
+  if abort_rate > 0.0 then
+    for c = 0 to d - 1 do
+      if c <> full && x.(c) > 0.0 then begin
+        let r = abort_rate *. x.(c) in
+        dx.(c) <- dx.(c) -. r;
+        add_aug Fluid.aug_departures r;
+        add_aug Fluid.aug_aborted r
+      end
+    done;
+  if not imm then begin
+    let r = p.gamma *. x.(full) in
+    dx.(full) <- dx.(full) -. r;
+    add_aug Fluid.aug_departures r
+  end;
+  if aug then dx.(d + Fluid.aug_pop_integral) <- !pop
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* 1200 seeded random cases: K = 2..8; sparse (masses from 1e-12 up, so
+   below the population floor too), dense, all-empty and only-seeds
+   states; seed outage, churn, upload loss and γ = ∞; bare and
+   augmented outputs; state vectors with and without a garbage tail.
+   Each staged drift evaluates a dense state and then the case's own,
+   so stale scratch from the first call cannot leak into the second. *)
+let test_drift_bit_identical_to_reference () =
+  let rng = P2p_prng.Rng.of_seed 2024 in
+  let unif () = P2p_prng.Rng.float rng in
+  let draw_state ~kind d =
+    Array.init d (fun s ->
+        match kind with
+        | 0 -> if unif () < 0.15 then 10.0 ** ((18.0 *. unif ()) -. 12.0) else 0.0
+        | 1 -> 1e6 *. unif ()
+        | 2 -> 0.0
+        | _ -> if s = d - 1 then 1.0 +. (1e3 *. unif ()) else 0.0)
+  in
+  let entries = ref 0 in
+  for case = 0 to 1199 do
+    let k = 2 + (case mod 7) in
+    let d = 1 lsl k in
+    let gamma = if P2p_prng.Rng.int_below rng 4 = 0 then infinity else 0.2 +. (3.0 *. unif ()) in
+    let arrival () =
+      let c = P2p_prng.Rng.int_below rng (if Float.is_finite gamma then d else d - 1) in
+      (PS.of_index c, 0.1 +. (100.0 *. unif ()))
+    in
+    let p =
+      Params.make ~k ~us:(if case mod 5 = 0 then 0.0 else 3.0 *. unif ())
+        ~mu:(0.1 +. (2.0 *. unif ())) ~gamma
+        ~arrivals:(List.init (1 + P2p_prng.Rng.int_below rng 3) (fun _ -> arrival ()))
+    in
+    let us_scale = float_of_int (P2p_prng.Rng.int_below rng 2) in
+    let abort_rate = if P2p_prng.Rng.int_below rng 2 = 0 then 0.0 else 0.5 *. unif () in
+    let loss_factor = if P2p_prng.Rng.int_below rng 2 = 0 then 1.0 else unif () in
+    let out_len = if case mod 2 = 0 then d else d + Fluid.aug_slots in
+    let drift = Fluid.drift_into p ~us_scale ~abort_rate ~loss_factor in
+    List.iter
+      (fun kind ->
+        let x = draw_state ~kind d in
+        let x = if case mod 3 = 0 then Array.append x (Array.make Fluid.aug_slots 7.0) else x in
+        let got = Array.make out_len Float.nan and want = Array.make out_len Float.nan in
+        drift x got;
+        reference_drift p ~us_scale ~abort_rate ~loss_factor x want;
+        Array.iteri
+          (fun i w ->
+            incr entries;
+            if not (bits_equal w got.(i)) then
+              Alcotest.failf "case %d (k=%d, kind %d) entry %d: %h vs reference %h" case k kind
+                i got.(i) w)
+          want)
+      [ 1; (case / 7) mod 4 ]
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d entries compared" !entries) true (!entries > 100_000)
+
+(* The same equality one level up: an Ode session on the staged drift
+   and one on the reference walk the same accepted/rejected steps to a
+   bit-identical state (the K = 8 million-peer flash crowd to t = 5). *)
+let test_trajectory_bit_identical_to_reference () =
+  let p = Scenario.flash_crowd ~k:8 ~lambda:100.0 ~us:1.0 ~mu:1.0 ~gamma:2.0 in
+  let len = Fluid.dim p + Fluid.aug_slots in
+  let y0 = Array.make len 0.0 in
+  y0.(0) <- 1e6;
+  let run drift =
+    let s = Ode.session ~f:(fun _t y dy -> drift y dy) ~t0:0.0 ~y0 () in
+    (match Ode.advance s ~to_:5.0 with
+    | Ode.Reached -> ()
+    | _ -> Alcotest.fail "session did not reach t = 5");
+    s
+  in
+  let fast = run (Fluid.drift_into p ~us_scale:1.0 ~abort_rate:0.0 ~loss_factor:1.0) in
+  let slow = run (reference_drift p ~us_scale:1.0 ~abort_rate:0.0 ~loss_factor:1.0) in
+  Alcotest.(check int) "steps" (Ode.steps slow) (Ode.steps fast);
+  Alcotest.(check int) "rejected" (Ode.rejected slow) (Ode.rejected fast);
+  Alcotest.(check int) "evals" (Ode.evals slow) (Ode.evals fast);
+  Array.iteri
+    (fun i v ->
+      if not (bits_equal v (Ode.state fast).(i)) then
+        Alcotest.failf "state entry %d: %h vs reference %h" i (Ode.state fast).(i) v)
+    (Ode.state slow)
+
 let test_bad_arguments () =
   let init = Fluid.of_state ~k:3 (State.create ()) in
   let rejects name f =
@@ -181,5 +315,9 @@ let () =
             test_two_chunk_equilibrium_pinned;
           Alcotest.test_case "grid times exact" `Quick test_grid_times_exact;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
+          Alcotest.test_case "drift bit-identical to reference" `Quick
+            test_drift_bit_identical_to_reference;
+          Alcotest.test_case "trajectory bit-identical to reference" `Quick
+            test_trajectory_bit_identical_to_reference;
         ] );
     ]

@@ -12,7 +12,7 @@ let check_feq ?eps msg a b =
   if not (feq ?eps a b) then Alcotest.failf "%s: %.17g vs %.17g" msg a b
 
 (* y' = -y, y(0) = 1: y(t) = e^{-t}. *)
-let decay _t y = [| -.y.(0) |]
+let decay _t y dy = dy.(0) <- -.y.(0)
 
 (* Order of convergence: halving h must shrink the endpoint error by
    ~2^5 for a 5th-order method.  Measured over one step from t=0. *)
@@ -68,7 +68,7 @@ let test_step_eval_outside_raises () =
 (* Adaptive accuracy on a nonlinear problem: logistic y' = y(1-y),
    y(0)=0.1, y(t) = 1/(1 + 9 e^{-t}). *)
 let test_adaptive_accuracy () =
-  let f _t y = [| y.(0) *. (1.0 -. y.(0)) |] in
+  let f _t y dy = dy.(0) <- y.(0) *. (1.0 -. y.(0)) in
   let ctrl = Ode.control ~rtol:1e-9 ~atol:1e-12 () in
   let s = Ode.session ~control:ctrl ~f ~t0:0.0 ~y0:[| 0.1 |] () in
   (match Ode.advance s ~to_:5.0 with
@@ -83,12 +83,10 @@ let test_adaptive_accuracy () =
    flow (rows of the rate matrix sum to 0) keeps the total constant to
    float round-off across thousands of steps. *)
 let test_linear_invariant () =
-  let f _t y =
-    [|
-      (-2.0 *. y.(0)) +. (0.5 *. y.(1));
-      (2.0 *. y.(0)) -. (1.5 *. y.(1)) +. (0.3 *. y.(2));
-      y.(1) -. (0.3 *. y.(2));
-    |]
+  let f _t y dy =
+    dy.(0) <- (-2.0 *. y.(0)) +. (0.5 *. y.(1));
+    dy.(1) <- (2.0 *. y.(0)) -. (1.5 *. y.(1)) +. (0.3 *. y.(2));
+    dy.(2) <- y.(1) -. (0.3 *. y.(2))
   in
   let y0 = [| 5.0; 1.0; 0.25 |] in
   let total0 = y0.(0) +. y0.(1) +. y0.(2) in
@@ -138,9 +136,9 @@ let test_step_limit () =
 
 (* set_rhs swaps the drift mid-run (the fault-toggle path). *)
 let test_set_rhs () =
-  let s = Ode.session ~f:(fun _t _y -> [| 1.0 |]) ~t0:0.0 ~y0:[| 0.0 |] () in
+  let s = Ode.session ~f:(fun _t _y dy -> dy.(0) <- 1.0) ~t0:0.0 ~y0:[| 0.0 |] () in
   (match Ode.advance s ~to_:1.0 with Ode.Reached -> () | _ -> Alcotest.fail "leg 1");
-  Ode.set_rhs s (fun _t _y -> [| -1.0 |]);
+  Ode.set_rhs s (fun _t _y dy -> dy.(0) <- -1.0);
   (match Ode.advance s ~to_:2.0 with Ode.Reached -> () | _ -> Alcotest.fail "leg 2");
   check_feq ~eps:1e-9 "ramp up then down returns to 0" (Ode.state s).(0) 0.0
 
