@@ -884,8 +884,8 @@ let e18 () =
         let h = mix sticky in
         let m_bar = Hetero.mean_seed_offspring h ~piece:0 in
         let verdict = Hetero.classify_heuristic h in
-        let s = Hetero.simulate_seeded ~seed:181 h ~horizon:2500.0 in
-        let r = Classify.of_samples s.samples in
+        let s, _ = Sim_agent.run_seeded ~seed:181 (Hetero.agent_config h) ~horizon:2500.0 in
+        let r = Classify.of_run ~truncated:s.truncated s.samples in
         [
           fmt sticky;
           fmt m_bar;
@@ -901,7 +901,7 @@ let e18 () =
       [ "sticky rate"; "m_bar"; "threshold"; "heuristic"; "simulated"; "mean N" ]
     rows;
   Report.subsection "per-class behaviour at sticky rate = 0.8";
-  let s = Hetero.simulate_seeded ~seed:182 (mix 0.8) ~horizon:2500.0 in
+  let s, _ = Sim_agent.run_seeded ~seed:182 (Hetero.agent_config (mix 0.8)) ~horizon:2500.0 in
   Report.table
     ~header:[ "class"; "mean population"; "mean sojourn" ]
     [

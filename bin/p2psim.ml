@@ -34,6 +34,13 @@ open P2p_core
 
 (* ---- shared argument parsing ---- *)
 
+let usage_error fmt = Printf.ksprintf (fun m -> prerr_endline ("p2psim: " ^ m); exit 2) fmt
+
+(* Build a model from parsed flags; invalid parameters are the user's
+   error, reported as a usage error (exit 2) rather than an uncaught
+   [Invalid_argument]. *)
+let valid_model f = try f () with Invalid_argument m -> usage_error "%s" m
+
 (* Arrival streams parse straight to (Pieceset.t, rate) through a Cmdliner
    conv, so a typo produces a usage error naming the offending token plus
    the expected shape — not an uncaught Failure with a backtrace. *)
@@ -78,12 +85,19 @@ let mu_arg = Arg.(value & opt float 1.0 & info [ "mu" ] ~docv:"RATE" ~doc:"Peer 
 
 let gamma_arg =
   let doc = "Peer-seed departure rate gamma; 'inf' means peers leave on completion." in
+  Arg.(value & opt float infinity & info [ "gamma" ] ~docv:"RATE" ~doc)
+
+(* A float flag that accepts [v] when [ok v]; anything else is a usage
+   error reading "WHAT must be SHAPE, got S". *)
+let float_conv ~ok what shape =
   let parse s =
-    if s = "inf" || s = "infinity" then Ok infinity
-    else match float_of_string_opt s with Some g -> Ok g | None -> Error (`Msg "bad gamma")
+    match float_of_string_opt s with
+    | Some v when ok v -> Ok v
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%s must be %s, got %S" what shape s))
   in
-  let gamma_conv = Arg.conv (parse, fun fmt g -> Format.fprintf fmt "%g" g) in
-  Arg.(value & opt gamma_conv infinity & info [ "gamma" ] ~docv:"RATE" ~doc)
+  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
+
+let finite_positive v = Float.is_finite v && v > 0.0
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"INT" ~doc:"PRNG seed.")
 
@@ -108,13 +122,7 @@ let shards_arg =
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"S" ~doc)
 
 let sync_every_arg =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "sync window must be a finite positive time, got %S" s))
-  in
-  let c = Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v) in
+  let c = float_conv ~ok:finite_positive "sync window" "a finite positive time" in
   Arg.(value & opt (some c) None
        & info [ "sync-every" ] ~docv:"T"
            ~doc:"Simulation-time width of the shard synchronisation window (default \
@@ -129,7 +137,8 @@ let reps_arg ~default =
 let horizon_arg =
   Arg.(value & opt float 1000.0 & info [ "horizon"; "t" ] ~docv:"TIME" ~doc:"Simulation horizon.")
 
-let make_params k us mu gamma arrivals = Params.make ~k ~us ~mu ~gamma ~arrivals
+let make_params k us mu gamma arrivals =
+  valid_model (fun () -> Params.make ~k ~us ~mu ~gamma ~arrivals)
 
 let params_term = Term.(const make_params $ k_arg $ us_arg $ mu_arg $ gamma_arg $ arrivals_arg)
 
@@ -158,27 +167,17 @@ let outage_arg =
   let outage_c = Arg.conv (parse, fun fmt (u, d) -> Format.fprintf fmt "%g,%g" u d) in
   Arg.(value & opt (some outage_c) None & info [ "seed-outage" ] ~docv:"UP,DOWN" ~doc)
 
-let nonneg_rate_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v >= 0.0 -> Ok v
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "%s must be a finite non-negative number, got %S" what s))
-  in
-  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
-
 let abort_rate_arg =
-  Arg.(value & opt (nonneg_rate_conv "abort rate") 0.0
+  let c =
+    float_conv ~ok:(fun v -> Float.is_finite v && v >= 0.0) "abort rate"
+      "a finite non-negative number"
+  in
+  Arg.(value & opt c 0.0
        & info [ "abort-rate" ] ~docv:"RATE"
            ~doc:"Churn: each unfinished peer aborts (leaves without the file) at rate $(docv).")
 
 let loss_prob_arg =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-    | Some _ | None -> Error (`Msg (Printf.sprintf "loss probability must be in [0, 1], got %S" s))
-  in
-  let prob_c = Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v) in
+  let prob_c = float_conv ~ok:(fun p -> p >= 0.0 && p <= 1.0) "loss probability" "in [0, 1]" in
   Arg.(value & opt prob_c 0.0
        & info [ "loss-prob" ] ~docv:"P"
            ~doc:"Each would-be upload is lost (no piece transferred) with probability $(docv).")
@@ -216,14 +215,7 @@ let max_events_arg =
            ~doc:"Per-replication event budget; a run that exhausts it is frozen at its current \
                  state and counted as partial.")
 
-let timeout_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "%s must be a finite positive number of seconds, got %S" what s))
-  in
-  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
+let timeout_conv what = float_conv ~ok:finite_positive what "a finite positive number of seconds"
 
 let rep_timeout_arg =
   Arg.(value & opt (some (timeout_conv "replication timeout")) None
@@ -255,13 +247,7 @@ let trace_arg =
                  otherwise. Timestamps are simulation time. Requires --reps 1.")
 
 let probe_interval_arg =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "probe interval must be a finite positive number, got %S" s))
-  in
-  let c = Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v) in
+  let c = float_conv ~ok:finite_positive "probe interval" "a finite positive number" in
   Arg.(value & opt (some c) None
        & info [ "probe-interval" ] ~docv:"T"
            ~doc:"Sample the swarm (population, peer seeds, one-club size, per-piece copies) \
@@ -328,7 +314,37 @@ let telemetry_term =
   Term.(const make $ trace_arg $ probe_interval_arg $ metrics_out_arg $ progress_arg
         $ profile_arg $ flight_recorder_arg $ monitor_arg $ alerts_out_arg $ hist_out_arg)
 
-let usage_error fmt = Printf.ksprintf (fun m -> prerr_endline ("p2psim: " ^ m); exit 2) fmt
+(* ---- the flag family every stochastic subcommand shares ---- *)
+
+type run_opts = {
+  horizon : float;
+  seed : int;
+  reps : int;
+  jobs : int;
+  faults : Faults.t;
+  on_error : Runner.on_error;
+  rep_timeout : float option;
+  max_events : int option;
+  tel : telemetry;
+}
+
+let run_opts_term =
+  let make horizon seed reps jobs faults on_error rep_timeout max_events tel =
+    { horizon; seed; reps; jobs; faults; on_error; rep_timeout; max_events; tel }
+  in
+  Term.(const make $ horizon_arg $ seed_arg $ reps_arg ~default:1 $ jobs_arg $ faults_term
+        $ on_error_arg $ rep_timeout_arg $ max_events_arg $ telemetry_term)
+
+(* One plain run, for subcommands that take only a horizon and a seed. *)
+let plain_run_opts ~horizon ~seed =
+  {
+    horizon; seed; reps = 1; jobs = 1; faults = Faults.none; on_error = Runner.Abort;
+    rep_timeout = None; max_events = None;
+    tel =
+      { trace = None; probe_interval = None; metrics_out = None; progress = false;
+        profile = false; flight_recorder = None; monitor = false; alerts_out = None;
+        hist_out = None };
+  }
 
 (* Build the probe for a single run, hand it to [f], then flush the
    attached sinks (metrics file, trace file, flight dump, histogram
@@ -497,57 +513,6 @@ let report_failures (timing : Runner.timing) =
   if timing.interrupted then
     print_endline "interrupted by SIGINT: aggregates cover completed chunks only"
 
-(* Shared replication driver for the simulate/coded/overlay paths:
-   R independent replications, merged Welford per metric, printed as a
-   mean ± CI table.  Aggregates are bit-identical for every --jobs value
-   (and under skip/retry: surviving replications keep their streams).
-   [after_table] slots model-specific commentary between the table and
-   the partial/failure report. *)
-let replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s ~progress ~metrics
-    ?(after_table = fun () -> ()) thunk =
-  let summary =
-    Runner.run_summary ~jobs:(resolve_jobs jobs) ~on_error ?rep_timeout_s ~handle_sigint:true
-      ~progress
-      ~hist:{ Runner.lo = 0.0; hi = 400.0; bins = 20 }
-      ~metrics ~master_seed:seed ~replications:reps thunk
-  in
-  Printf.printf "%d replications (master seed %d)\n" reps seed;
-  Report.table
-    ~header:[ "metric"; "mean"; "std err"; "95% CI"; "min"; "max" ]
-    (List.map
-       (fun (name, w) ->
-         let lo, hi = Welford.confidence_interval w ~z:1.96 in
-         [
-           name;
-           Report.fmt_float (Welford.mean w);
-           Report.fmt_float (Welford.std_error w);
-           Printf.sprintf "[%s, %s]" (Report.fmt_float lo) (Report.fmt_float hi);
-           Report.fmt_float (Welford.min_value w);
-           Report.fmt_float (Welford.max_value w);
-         ])
-       summary.stats);
-  after_table ();
-  if summary.partial > 0 then
-    Printf.printf "%d replication%s partial (event budget or wall budget exhausted)\n"
-      summary.partial
-      (if summary.partial = 1 then "" else "s");
-  report_failures summary.timing;
-  Format.printf "%a@." Runner.pp_timing summary.timing
-
-(* Extra metric columns that only appear when faults are injected. *)
-let fault_metric_names faults =
-  if Faults.is_none faults then []
-  else [ "outage time"; "aborted peers"; "lost transfers" ]
-
-let fault_rows faults (outage_time, aborted, lost) =
-  if Faults.is_none faults then []
-  else
-    [
-      ("seed outage time", Report.fmt_float outage_time);
-      ("aborted peers", string_of_int aborted);
-      ("lost transfers", string_of_int lost);
-    ]
-
 let truncation_warning truncated =
   if truncated then
     print_endline "WARNING: max_events budget exhausted before the horizon; \
@@ -597,6 +562,333 @@ let reject_single_run_telemetry tel =
   if tel.hist_out <> None then
     usage_error "--hist-out requires --reps 1 (per-replication histograms would interleave)"
 
+(* ---- stochastic backends: each described once, run by one set of entry points ---- *)
+
+(* One finished run, as every run mode reports it. *)
+type outcome = {
+  events : int;
+  truncated : bool;
+  samples : (float * int) array;
+  values : float array;  (** replication metrics, time-avg N first *)
+  rows : (string * string) list;  (** the single-run report *)
+  detail : unit -> unit;  (** printed after [rows]: verdict line, per-class table *)
+}
+
+(* A backend with its flags applied: how to run it once, its replication
+   metric names, and the commentary printed after its report or
+   replication table.  [until] stops a run early (replications pass the
+   wall-budget poll, single runs [None]); a backend without the hook
+   ignores it. *)
+type backend = {
+  metrics : string list;
+  run : until:(time:float -> n:int -> bool) option -> probe:Probe.t -> rng:P2p_prng.Rng.t -> outcome;
+  commentary : unit -> unit;
+}
+
+(* A swarm backend's sharded run: its outcome and the sharding rows. *)
+type sharded_runner =
+  probes:(int -> Probe.t) -> shards:int -> jobs:int -> seed:int -> outcome * (string * string) list
+
+let sharding_rows ~windows ~messages ~events ~final_n =
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  [
+    ("sync windows", string_of_int windows);
+    ("cross-shard messages", string_of_int messages);
+    ("per-shard events", ints events);
+    ("per-shard final N", ints final_n);
+  ]
+
+(* Every backend's metrics end with the growth rate and, when faults are
+   injected, the fault counters; its report rows end with the fault
+   rows. *)
+let metric_names faults names =
+  names @ ("growth dN/dt"
+          :: (if Faults.is_none faults then []
+              else [ "outage time"; "aborted peers"; "lost transfers" ]))
+
+let outcome ?(detail = ignore) ~faults ~events ~truncated ~samples ~fault_counts values rows =
+  let outage_time, aborted, lost = fault_counts in
+  let faulty = not (Faults.is_none faults) in
+  {
+    events;
+    truncated;
+    samples;
+    values =
+      Array.concat
+        [
+          values;
+          [| (Classify.of_samples samples).growth_rate |];
+          (if faulty then [| outage_time; float_of_int aborted; float_of_int lost |] else [||]);
+        ];
+    rows =
+      (rows
+      @
+      if faulty then
+        [
+          ("seed outage time", Report.fmt_float outage_time);
+          ("aborted peers", string_of_int aborted);
+          ("lost transfers", string_of_int lost);
+        ]
+      else []);
+    detail;
+  }
+
+let verdict_of ~truncated samples = (Classify.of_run ~truncated samples).verdict
+
+let verdict_line ~truncated samples () =
+  let r = Classify.of_run ~truncated samples in
+  Printf.printf "empirical verdict: %s (growth %s/t)\n"
+    (Classify.verdict_to_string r.verdict)
+    (Report.fmt_float r.growth_rate)
+
+(* The rows and metrics [simulate] reports for either swarm backend. *)
+let swarm_metrics = [ "time-avg N"; "final N"; "transfers"; "departures" ]
+
+let swarm_rows ~events ~arrivals ~transfers ~departures ~time_avg_n ~max_n ~final_n =
+  [
+    ("events", string_of_int events);
+    ("arrivals", string_of_int arrivals);
+    ("transfers", string_of_int transfers);
+    ("departures", string_of_int departures);
+    ("time-avg N", Report.fmt_float time_avg_n);
+    ("max N", string_of_int max_n);
+    ("final N", string_of_int final_n);
+  ]
+
+(* The swarm backends return the backend and its sharded runner. *)
+let markov_backend ?sync_every (config : Sim_markov.config) { max_events; horizon; _ } =
+  let faults = config.faults in
+  let outcome ~visits (s : Sim_markov.stats) =
+    outcome ~faults ~events:s.events ~truncated:s.truncated ~samples:s.samples
+      ~fault_counts:(s.outage_time, s.aborted_peers, s.lost_transfers)
+      ~detail:(verdict_line ~truncated:s.truncated s.samples)
+      [| s.time_avg_n; float_of_int s.final_n; float_of_int s.transfers;
+         float_of_int s.departures |]
+      (swarm_rows ~events:s.events ~arrivals:s.arrivals ~transfers:s.transfers
+         ~departures:s.departures ~time_avg_n:s.time_avg_n ~max_n:s.max_n ~final_n:s.final_n
+      @ [ (visits, string_of_int s.visits_to_empty) ])
+  in
+  ( {
+      metrics = metric_names faults swarm_metrics;
+      run =
+        (fun ~until ~probe ~rng ->
+          let s, _ = Sim_markov.run ~probe ?max_events ?until ~rng config ~horizon in
+          if s.stopped then raise Runner.Rep_timeout;
+          outcome ~visits:"visits to empty" s);
+      commentary = (fun () -> report_effective_verdict config.params faults);
+    },
+    fun ~probes ~shards ~jobs ~seed ->
+      let s, _, (r : Sim_markov.shard_report) =
+        Sim_markov.run_sharded_seeded ~probes ?sync_every ?max_events ~jobs ~shards ~seed config
+          ~horizon
+      in
+      ( outcome ~visits:"visits to empty (barrier-sampled)" s,
+        sharding_rows ~windows:r.windows ~messages:r.cross_messages ~events:r.shard_events
+          ~final_n:r.shard_final_n ) )
+
+(* One class, or a labelled class table: [labels] adds the per-class
+   table to the report. *)
+let agent_backend ?sync_every ?(labels = []) (config : Sim_agent.config)
+    { max_events; horizon; _ } =
+  let faults = config.faults in
+  let per_class (s : Sim_agent.stats) () =
+    Report.subsection "per class";
+    Report.table
+      ~header:[ "class"; "mean N"; "mean sojourn" ]
+      (List.mapi
+         (fun i label ->
+           [ label; Report.fmt_float s.class_mean_n.(i); Report.fmt_float s.class_mean_sojourn.(i) ])
+         labels)
+  in
+  let outcome (s : Sim_agent.stats) =
+    outcome ~faults ~events:s.events ~truncated:s.truncated ~samples:s.samples
+      ~fault_counts:(s.outage_time, s.aborted_peers, s.lost_transfers)
+      ~detail:(fun () ->
+        verdict_line ~truncated:s.truncated s.samples ();
+        if labels <> [] then per_class s ())
+      [| s.time_avg_n; float_of_int s.final_n; float_of_int s.transfers;
+         float_of_int s.departures |]
+      (swarm_rows ~events:s.events ~arrivals:s.arrivals ~transfers:s.transfers
+         ~departures:s.departures ~time_avg_n:s.time_avg_n ~max_n:s.max_n ~final_n:s.final_n
+      @ [ ("mean sojourn", Report.fmt_float s.mean_sojourn);
+          ("one-club fraction", Report.fmt_float s.one_club_time_fraction) ])
+  in
+  ( {
+      metrics = metric_names faults swarm_metrics;
+      run =
+        (fun ~until:_ ~probe ~rng ->
+          outcome (fst (Sim_agent.run ~probe ?max_events ~rng config ~horizon)));
+      commentary = (fun () -> report_effective_verdict config.params faults);
+    },
+    fun ~probes ~shards ~jobs ~seed ->
+      let s, _, (r : Sim_agent.shard_report) =
+        Sim_agent.run_sharded_seeded ~probes ?sync_every ?max_events ~jobs ~shards ~seed config
+          ~horizon
+      in
+      ( outcome s,
+        sharding_rows ~windows:r.windows ~messages:r.cross_messages ~events:r.shard_events
+          ~final_n:r.shard_final_n ) )
+
+let network_backend (config : Sim_network.config) { max_events; horizon; _ } =
+  let faults = config.faults in
+  let outcome (s : Sim_network.stats) =
+    let no_degree = Float.is_nan s.mean_degree_time_avg in
+    outcome ~faults ~events:s.events ~truncated:s.truncated ~samples:s.samples
+      ~fault_counts:(s.outage_time, s.aborted_peers, s.lost_transfers)
+      [| s.time_avg_n; float_of_int s.final_n; float_of_int s.transfers;
+         float_of_int s.silent_contacts; (if no_degree then 0.0 else s.mean_degree_time_avg) |]
+      [
+        ("verdict", Classify.verdict_to_string (verdict_of ~truncated:s.truncated s.samples));
+        ("time-avg N", Report.fmt_float s.time_avg_n);
+        ("transfers", string_of_int s.transfers);
+        ("silent contacts", string_of_int s.silent_contacts);
+        ("mean overlay degree", if no_degree then "-" else Report.fmt_float s.mean_degree_time_avg);
+        ("components at end", string_of_int (List.length s.final_component_sizes));
+      ]
+  in
+  {
+    metrics =
+      metric_names faults
+        [ "time-avg N"; "final N"; "transfers"; "silent contacts"; "mean overlay degree" ];
+    run =
+      (fun ~until:_ ~probe ~rng ->
+        outcome (fst (Sim_network.run ~probe ?max_events ~rng config ~horizon)));
+    commentary = (fun () -> report_effective_verdict config.params faults);
+  }
+
+let coded_backend (config : Sim_coded.config) { max_events; horizon; _ } =
+  let faults = config.faults in
+  let outcome (s : Sim_coded.stats) =
+    outcome ~faults ~events:s.events ~truncated:s.truncated ~samples:s.samples
+      ~fault_counts:(s.outage_time, s.aborted_peers, s.lost_transfers)
+      [| s.time_avg_n; float_of_int s.final_n; float_of_int s.useful_transfers;
+         float_of_int s.useless_transfers; float_of_int s.completions |]
+      [
+        ("time-avg N", Report.fmt_float s.time_avg_n);
+        ("final N", string_of_int s.final_n);
+        ("useful transfers", string_of_int s.useful_transfers);
+        ("useless transfers", string_of_int s.useless_transfers);
+        ("completions", string_of_int s.completions);
+        ("near-complete fraction", Report.fmt_float s.near_complete_fraction);
+        ( "empirical verdict",
+          Classify.verdict_to_string (verdict_of ~truncated:s.truncated s.samples) );
+      ]
+  in
+  {
+    metrics =
+      metric_names faults
+        [ "time-avg N"; "final N"; "useful transfers"; "useless transfers"; "completions" ];
+    run =
+      (fun ~until:_ ~probe ~rng -> outcome (Sim_coded.run ~probe ?max_events ~rng config ~horizon));
+    commentary = ignore;
+  }
+
+(* One run with the single-run telemetry attached. *)
+let single_run b { tel; horizon; seed; _ } ~k ~csv =
+  let r =
+    with_single_run_probe tel ~k ~horizon (fun probe ->
+        b.run ~until:None ~probe ~rng:(P2p_prng.Rng.of_seed seed))
+  in
+  truncation_warning r.truncated;
+  Report.kv r.rows;
+  r.detail ();
+  b.commentary ();
+  Option.iter (fun file -> write_samples_csv file r.samples) csv
+
+(* R independent replications, merged Welford per metric, printed as a
+   mean ± CI table.  Aggregates are bit-identical for every --jobs value
+   (and under skip/retry: surviving replications keep their streams). *)
+let replicated b { reps; seed; jobs; on_error; rep_timeout; tel; _ } =
+  let progress = if tel.progress then Progress.create ~total:reps () else Progress.silent in
+  let summary =
+    Runner.run_summary ~jobs:(resolve_jobs jobs) ~on_error ?rep_timeout_s:rep_timeout
+      ~handle_sigint:true ~progress
+      ~hist:{ Runner.lo = 0.0; hi = 400.0; bins = 20 }
+      ~metrics:b.metrics ~master_seed:seed ~replications:reps
+      (fun ~rng ~index:_ ->
+        let until ~time:_ ~n:_ = Runner.deadline_exceeded () in
+        let r = b.run ~until:(Some until) ~probe:Probe.none ~rng in
+        Progress.add_events progress r.events;
+        Runner.rep ~flagged:r.truncated ~obs:[| r.values.(0) |] r.values)
+  in
+  Printf.printf "%d replications (master seed %d)\n" reps seed;
+  Report.table
+    ~header:[ "metric"; "mean"; "std err"; "95% CI"; "min"; "max" ]
+    (List.map
+       (fun (name, w) ->
+         let lo, hi = Welford.confidence_interval w ~z:1.96 in
+         [
+           name;
+           Report.fmt_float (Welford.mean w);
+           Report.fmt_float (Welford.std_error w);
+           Printf.sprintf "[%s, %s]" (Report.fmt_float lo) (Report.fmt_float hi);
+           Report.fmt_float (Welford.min_value w);
+           Report.fmt_float (Welford.max_value w);
+         ])
+       summary.stats);
+  b.commentary ();
+  if summary.partial > 0 then
+    Printf.printf "%d replication%s partial (event budget or wall budget exhausted)\n"
+      summary.partial
+      (if summary.partial = 1 then "" else "s");
+  report_failures summary.timing;
+  Format.printf "%a@." Runner.pp_timing summary.timing
+
+(* One giant sharded run: per-shard instruments, merged stats, and a
+   sharding section proving the partition ran (per-shard event
+   counts).  The merged report mirrors the single-run one so sharded
+   and classic output stay diffable. *)
+let sharded b (run_sharded : sharded_runner) { tel; jobs; seed; _ } ~shards ~csv =
+  reject_sharded_telemetry tel;
+  let hist_groups =
+    Array.init shards (fun _ -> if tel.hist_out <> None then Hist.group () else Hist.disabled_group)
+  in
+  let recorders =
+    Array.init shards (fun _ ->
+        match tel.flight_recorder with None -> Recorder.disabled | Some _ -> Recorder.create ())
+  in
+  let probes i =
+    if tel.hist_out = None && tel.flight_recorder = None then Probe.none
+    else Probe.make ~recorder:recorders.(i) ~hists:hist_groups.(i) ()
+  in
+  let jobs = Int.min shards (resolve_jobs jobs) in
+  let r, sharding = run_sharded ~probes ~shards ~jobs ~seed in
+  truncation_warning r.truncated;
+  Report.kv r.rows;
+  Report.subsection
+    (Printf.sprintf "sharding (%d shards, %d domain%s)" shards jobs (if jobs = 1 then "" else "s"));
+  Report.kv sharding;
+  (match tel.hist_out with
+  | None -> ()
+  | Some file ->
+      let merged = Hist.group () in
+      Array.iter (fun g -> Hist.merge_group_into ~into:merged g) hist_groups;
+      Hist.write_group_file merged file;
+      Printf.printf "wrote %d histograms (merged over %d shards) to %s\n"
+        (List.length (Hist.hists merged)) shards file);
+  (match tel.flight_recorder with
+  | None -> ()
+  | Some file ->
+      Array.iteri
+        (fun i r ->
+          let f = shard_file file i in
+          Recorder.dump r ~code_name:Probe.code_name f;
+          Printf.printf "flight recorder shard %d: %d events kept (%d overwritten) -> %s\n" i
+            (min (Recorder.recorded r) (Recorder.capacity r))
+            (Recorder.dropped r) f)
+        recorders);
+  r.detail ();
+  b.commentary ();
+  Option.iter (fun file -> write_samples_csv file r.samples) csv
+
+(* Every stochastic subcommand's dispatch: R replications, or one run. *)
+let drive b o ~k ?csv () =
+  if o.reps > 1 then begin
+    reject_single_run_telemetry o.tel;
+    replicated b o
+  end
+  else single_run b o ~k ~csv
+
 (* ---- classify ---- *)
 
 let classify_cmd =
@@ -622,264 +914,44 @@ let classify_cmd =
   Cmd.v (Cmd.info "classify" ~doc:"Theorem 1 verdict for a parameter set")
     Term.(const run $ params_term)
 
+let policy_arg ~default =
+  let policy_conv =
+    Arg.enum
+      [
+        ("random", Policy.random_useful);
+        ("rarest", Policy.rarest_first);
+        ("common", Policy.most_common_first);
+        ("sequential", Policy.sequential);
+      ]
+  in
+  Arg.(value & opt policy_conv default & info [ "policy" ] ~docv:"NAME"
+       ~doc:"Piece selection: random|rarest|common|sequential.")
+
+let csv_arg =
+  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
+       ~doc:"Write the sampled (t, N_t) trajectory as CSV.")
+
 (* ---- simulate ---- *)
 
 let simulate_cmd =
   let agent_arg =
     Arg.(value & flag & info [ "agent" ] ~doc:"Use the agent-level simulator (tracks groups).")
   in
-  let policy_arg =
-    let policy_conv =
-      Arg.enum
-        [
-          ("random", Policy.random_useful);
-          ("rarest", Policy.rarest_first);
-          ("common", Policy.most_common_first);
-          ("sequential", Policy.sequential);
-        ]
+  let run params agent policy csv shards sync_every o =
+    let faults = o.faults in
+    let backend, run_sharded =
+      if agent then agent_backend ?sync_every { (Sim_agent.default_config params) with policy; faults } o
+      else markov_backend ?sync_every { (Sim_markov.default_config params) with policy; faults } o
     in
-    Arg.(value & opt policy_conv Policy.random_useful & info [ "policy" ] ~docv:"NAME"
-         ~doc:"Piece selection: random|rarest|common|sequential.")
-  in
-  let csv_arg =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-         ~doc:"Write the sampled (t, N_t) trajectory as CSV.")
-  in
-  let replicated params horizon seed agent policy reps jobs faults on_error rep_timeout
-      max_events ~progress:want_progress =
-    let progress = if want_progress then Progress.create ~total:reps () else Progress.silent in
-    let with_faults = not (Faults.is_none faults) in
-    let metrics =
-      [ "time-avg N"; "final N"; "transfers"; "departures"; "growth dN/dt" ]
-      @ fault_metric_names faults
-    in
-    let thunk ~rng ~index:_ =
-      let time_avg_n, final_n, transfers, departures, samples, truncated, fault_counts =
-        if agent then begin
-          let config = { (Sim_agent.default_config params) with policy; faults } in
-          let s, _ = Sim_agent.run ?max_events ~rng config ~horizon in
-          Progress.add_events progress s.events;
-          ( s.time_avg_n, s.final_n, s.transfers, s.departures, s.samples, s.truncated,
-            [| s.outage_time; float_of_int s.aborted_peers; float_of_int s.lost_transfers |] )
-        end
-        else begin
-          let config = { (Sim_markov.default_config params) with policy; faults } in
-          let s, _ =
-            Sim_markov.run ?max_events ~rng
-              ~until:(fun ~time:_ ~n:_ -> Runner.deadline_exceeded ())
-              config ~horizon
-          in
-          if s.stopped then raise Runner.Rep_timeout;
-          Progress.add_events progress s.events;
-          ( s.time_avg_n, s.final_n, s.transfers, s.departures, s.samples, s.truncated,
-            [| s.outage_time; float_of_int s.aborted_peers; float_of_int s.lost_transfers |] )
-        end
-      in
-      let growth = (Classify.of_samples samples).growth_rate in
-      let values =
-        Array.append
-          [| time_avg_n; float_of_int final_n; float_of_int transfers;
-             float_of_int departures; growth |]
-          (if with_faults then fault_counts else [||])
-      in
-      Runner.rep ~flagged:truncated ~obs:[| time_avg_n |] values
-    in
-    replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s:rep_timeout ~progress ~metrics
-      ~after_table:(fun () -> report_effective_verdict params faults)
-      thunk
-  in
-  (* One giant sharded run: per-shard instruments, merged stats, and a
-     sharding section proving the partition ran (per-shard event
-     counts).  The merged report mirrors the single-run path so sharded
-     and classic output stay diffable. *)
-  let sharded params horizon seed agent policy csv shards sync_every jobs faults max_events tel =
-    reject_sharded_telemetry tel;
-    let hist_groups =
-      Array.init shards (fun _ ->
-          if tel.hist_out <> None then Hist.group () else Hist.disabled_group)
-    in
-    let recorders =
-      Array.init shards (fun _ ->
-          match tel.flight_recorder with None -> Recorder.disabled | Some _ -> Recorder.create ())
-    in
-    let probes i =
-      if tel.hist_out = None && tel.flight_recorder = None then Probe.none
-      else Probe.make ~recorder:recorders.(i) ~hists:hist_groups.(i) ()
-    in
-    let jobs = Int.min shards (resolve_jobs jobs) in
-    let stats_rows, samples, truncated, growth, report =
-      if agent then begin
-        let config = { (Sim_agent.default_config params) with policy; faults } in
-        let s, _, (r : Sim_agent.shard_report) =
-          Sim_agent.run_sharded_seeded ~probes ?sync_every ?max_events ~jobs ~shards ~seed
-            config ~horizon
-        in
-        ( [
-            ("events", string_of_int s.Sim_agent.events);
-            ("arrivals", string_of_int s.Sim_agent.arrivals);
-            ("transfers", string_of_int s.Sim_agent.transfers);
-            ("departures", string_of_int s.Sim_agent.departures);
-            ("time-avg N", Report.fmt_float s.Sim_agent.time_avg_n);
-            ("max N", string_of_int s.Sim_agent.max_n);
-            ("final N", string_of_int s.Sim_agent.final_n);
-            ("mean sojourn", Report.fmt_float s.Sim_agent.mean_sojourn);
-            ("one-club fraction", Report.fmt_float s.Sim_agent.one_club_time_fraction);
-          ]
-          @ fault_rows faults
-              (s.Sim_agent.outage_time, s.Sim_agent.aborted_peers, s.Sim_agent.lost_transfers),
-          s.Sim_agent.samples,
-          s.Sim_agent.truncated,
-          (Classify.of_samples s.Sim_agent.samples).growth_rate,
-          ( r.Sim_agent.windows,
-            r.Sim_agent.cross_messages,
-            r.Sim_agent.shard_events,
-            r.Sim_agent.shard_final_n ) )
-      end
-      else begin
-        let config = { (Sim_markov.default_config params) with policy; faults } in
-        let s, _, (r : Sim_markov.shard_report) =
-          Sim_markov.run_sharded_seeded ~probes ?sync_every ?max_events ~jobs ~shards ~seed
-            config ~horizon
-        in
-        ( [
-            ("events", string_of_int s.Sim_markov.events);
-            ("arrivals", string_of_int s.Sim_markov.arrivals);
-            ("transfers", string_of_int s.Sim_markov.transfers);
-            ("departures", string_of_int s.Sim_markov.departures);
-            ("time-avg N", Report.fmt_float s.Sim_markov.time_avg_n);
-            ("max N", string_of_int s.Sim_markov.max_n);
-            ("final N", string_of_int s.Sim_markov.final_n);
-            ("visits to empty (barrier-sampled)", string_of_int s.Sim_markov.visits_to_empty);
-          ]
-          @ fault_rows faults
-              (s.Sim_markov.outage_time, s.Sim_markov.aborted_peers, s.Sim_markov.lost_transfers),
-          s.Sim_markov.samples,
-          s.Sim_markov.truncated,
-          (Classify.of_samples s.Sim_markov.samples).growth_rate,
-          ( r.Sim_markov.windows,
-            r.Sim_markov.cross_messages,
-            r.Sim_markov.shard_events,
-            r.Sim_markov.shard_final_n ) )
-      end
-    in
-    truncation_warning truncated;
-    Report.kv stats_rows;
-    let windows, messages, shard_events, shard_final_n = report in
-    Report.subsection
-      (Printf.sprintf "sharding (%d shards, %d domain%s)" shards jobs
-         (if jobs = 1 then "" else "s"));
-    Report.kv
-      [
-        ("sync windows", string_of_int windows);
-        ("cross-shard messages", string_of_int messages);
-        ( "per-shard events",
-          String.concat " "
-            (Array.to_list (Array.map string_of_int shard_events)) );
-        ( "per-shard final N",
-          String.concat " "
-            (Array.to_list (Array.map string_of_int shard_final_n)) );
-      ];
-    (match tel.hist_out with
-    | None -> ()
-    | Some file ->
-        let merged = Hist.group () in
-        Array.iter (fun g -> Hist.merge_group_into ~into:merged g) hist_groups;
-        Hist.write_group_file merged file;
-        Printf.printf "wrote %d histograms (merged over %d shards) to %s\n"
-          (List.length (Hist.hists merged)) shards file);
-    (match tel.flight_recorder with
-    | None -> ()
-    | Some file ->
-        Array.iteri
-          (fun i r ->
-            let f = shard_file file i in
-            Recorder.dump r ~code_name:Probe.code_name f;
-            Printf.printf "flight recorder shard %d: %d events kept (%d overwritten) -> %s\n" i
-              (min (Recorder.recorded r) (Recorder.capacity r))
-              (Recorder.dropped r) f)
-          recorders);
-    Printf.printf "empirical verdict: %s (growth %s/t)\n"
-      (Classify.verdict_to_string (Classify.of_run ~truncated samples).verdict)
-      (Report.fmt_float growth);
-    report_effective_verdict params faults;
-    match csv with None -> () | Some file -> write_samples_csv file samples
-  in
-  let run params horizon seed agent policy csv reps jobs shards sync_every faults on_error
-      rep_timeout max_events tel =
-    let write_csv samples =
-      match csv with
-      | None -> ()
-      | Some file -> write_samples_csv file samples
-    in
-    let fault_rows = fault_rows faults in
     if shards < 1 then usage_error "--shards must be >= 1";
-    if shards > 1 && reps > 1 then
+    if shards > 1 && o.reps > 1 then
       usage_error "--shards requires --reps 1 (shard one giant run, or replicate unsharded)";
-    if shards > 1 then
-      sharded params horizon seed agent policy csv shards sync_every jobs faults max_events tel
-    else if reps > 1 then begin
-      reject_single_run_telemetry tel;
-      replicated params horizon seed agent policy reps jobs faults on_error rep_timeout
-        max_events ~progress:tel.progress
-    end
-    else if agent then begin
-      let config = { (Sim_agent.default_config params) with policy; faults } in
-      let stats, _ =
-        with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
-            Sim_agent.run_seeded ~probe ?max_events ~seed config ~horizon)
-      in
-      truncation_warning stats.truncated;
-      Report.kv
-        ([
-           ("events", string_of_int stats.events);
-           ("arrivals", string_of_int stats.arrivals);
-           ("transfers", string_of_int stats.transfers);
-           ("departures", string_of_int stats.departures);
-           ("time-avg N", Report.fmt_float stats.time_avg_n);
-           ("max N", string_of_int stats.max_n);
-           ("final N", string_of_int stats.final_n);
-           ("mean sojourn", Report.fmt_float stats.mean_sojourn);
-           ("one-club fraction", Report.fmt_float stats.one_club_time_fraction);
-         ]
-        @ fault_rows (stats.outage_time, stats.aborted_peers, stats.lost_transfers));
-      let r = Classify.of_run ~truncated:stats.truncated stats.samples in
-      Printf.printf "empirical verdict: %s (growth %s/t)\n"
-        (Classify.verdict_to_string r.verdict)
-        (Report.fmt_float r.growth_rate);
-      report_effective_verdict params faults;
-      write_csv stats.samples
-    end
-    else begin
-      let config = { (Sim_markov.default_config params) with policy; faults } in
-      let stats, _ =
-        with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
-            Sim_markov.run_seeded ~probe ?max_events ~seed config ~horizon)
-      in
-      truncation_warning stats.truncated;
-      Report.kv
-        ([
-           ("events", string_of_int stats.events);
-           ("arrivals", string_of_int stats.arrivals);
-           ("transfers", string_of_int stats.transfers);
-           ("departures", string_of_int stats.departures);
-           ("time-avg N", Report.fmt_float stats.time_avg_n);
-           ("max N", string_of_int stats.max_n);
-           ("final N", string_of_int stats.final_n);
-           ("visits to empty", string_of_int stats.visits_to_empty);
-         ]
-        @ fault_rows (stats.outage_time, stats.aborted_peers, stats.lost_transfers));
-      let r = Classify.of_stats stats in
-      Printf.printf "empirical verdict: %s (growth %s/t)\n"
-        (Classify.verdict_to_string r.verdict)
-        (Report.fmt_float r.growth_rate);
-      report_effective_verdict params faults;
-      write_csv stats.samples
-    end
+    if shards > 1 then sharded backend run_sharded o ~shards ~csv
+    else drive backend o ~k:params.k ?csv ()
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the exact stochastic simulation")
-    Term.(const run $ params_term $ horizon_arg $ seed_arg $ agent_arg $ policy_arg $ csv_arg
-          $ reps_arg ~default:1 $ jobs_arg $ shards_arg $ sync_every_arg $ faults_term
-          $ on_error_arg $ rep_timeout_arg $ max_events_arg $ telemetry_term)
+    Term.(const run $ params_term $ agent_arg $ policy_arg ~default:Policy.random_useful
+          $ csv_arg $ shards_arg $ sync_every_arg $ run_opts_term)
 
 (* ---- fluid ---- *)
 
@@ -913,10 +985,6 @@ let fluid_cmd =
   let switch_down_arg =
     Arg.(value & opt int 100 & info [ "switch-down" ] ~docv:"N"
          ~doc:"Hybrid: fluid total at which the run hands back to the stochastic simulator.")
-  in
-  let csv_arg =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-         ~doc:"Write the sampled (t, N_t) trajectory as CSV.")
   in
   let run params horizon seed init rtol atol hybrid switch_up switch_down csv faults
       max_events tel =
@@ -1122,39 +1190,15 @@ let region_cmd =
 (* ---- coded ---- *)
 
 let coded_cmd =
-  let q_arg = Arg.(value & opt int 16 & info [ "q"; "field" ] ~docv:"Q" ~doc:"Field size (prime power).") in
+  let q_arg =
+    let q = Arg.(value & opt int 16 & info [ "q"; "field" ] ~docv:"Q" ~doc:"Field size (prime power).") in
+    Term.(const (fun q -> valid_model (fun () -> ignore (P2p_gf.Field.gf q); q)) $ q)
+  in
   let f_arg =
     Arg.(value & opt float 0.25 & info [ "f"; "gift-fraction" ] ~docv:"FRAC" ~doc:"Gifted fraction of arrivals.")
   in
   let sim_arg = Arg.(value & flag & info [ "sim" ] ~doc:"Also simulate the coded swarm.") in
-  let replicated config ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
-      ~progress:want_progress =
-    let progress = if want_progress then Progress.create ~total:reps () else Progress.silent in
-    let with_faults = not (Faults.is_none faults) in
-    let metrics =
-      [ "time-avg N"; "final N"; "useful transfers"; "useless transfers"; "completions";
-        "growth dN/dt" ]
-      @ fault_metric_names faults
-    in
-    let thunk ~rng ~index:_ =
-      let s = Sim_coded.run ?max_events ~rng config ~horizon in
-      Progress.add_events progress s.Sim_coded.events;
-      let growth = (Classify.of_samples s.samples).growth_rate in
-      let values =
-        Array.append
-          [| s.time_avg_n; float_of_int s.final_n; float_of_int s.useful_transfers;
-             float_of_int s.useless_transfers; float_of_int s.completions; growth |]
-          (if with_faults then
-             [| s.outage_time; float_of_int s.aborted_peers; float_of_int s.lost_transfers |]
-           else [||])
-      in
-      Runner.rep ~flagged:s.truncated ~obs:[| s.time_avg_n |] values
-    in
-    replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s:rep_timeout ~progress ~metrics
-      thunk
-  in
-  let run k q f us mu gamma horizon seed sim reps jobs faults on_error rep_timeout max_events
-      tel =
+  let run k q f us mu gamma sim o =
     let g =
       { Stability.Coded.q; k; us; mu; gamma; lambda0 = 1.0 -. f; lambda1 = f }
     in
@@ -1165,41 +1209,14 @@ let coded_cmd =
           Report.fmt_float (Stability.Coded.recurrent_f_threshold_exact ~q ~k) );
         ("verdict at f", Stability.verdict_to_string (Stability.Coded.classify g));
       ];
-    if sim || reps > 1 then begin
-      let config = { (Sim_coded.of_gift g) with faults } in
-      if reps > 1 then begin
-        reject_single_run_telemetry tel;
-        replicated config ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
-          ~progress:tel.progress
-      end
-      else begin
-        (* In coded traces and probes the subspace dimension plays the
-           role of the piece index, so the probe series has k slots. *)
-        let s =
-          with_single_run_probe tel ~k ~horizon (fun probe ->
-              Sim_coded.run_seeded ~probe ?max_events ~seed config ~horizon)
-        in
-        truncation_warning s.truncated;
-        Report.kv
-          ([
-             ("time-avg N", Report.fmt_float s.time_avg_n);
-             ("final N", string_of_int s.final_n);
-             ("useful transfers", string_of_int s.useful_transfers);
-             ("useless transfers", string_of_int s.useless_transfers);
-             ("completions", string_of_int s.completions);
-             ("near-complete fraction", Report.fmt_float s.near_complete_fraction);
-             ( "empirical verdict",
-               Classify.verdict_to_string
-                 (Classify.of_run ~truncated:s.truncated s.samples).verdict );
-           ]
-          @ fault_rows faults (s.outage_time, s.aborted_peers, s.lost_transfers))
-      end
-    end
+    if sim || o.reps > 1 then
+      (* In coded traces and probes the subspace dimension plays the
+         role of the piece index, so the probe series has k slots. *)
+      drive (coded_backend { (Sim_coded.of_gift g) with faults = o.faults } o) o ~k ()
   in
   Cmd.v (Cmd.info "coded" ~doc:"Theorem 15: network coding thresholds and simulation")
-    Term.(const run $ k_arg $ q_arg $ f_arg $ us_arg $ mu_arg $ gamma_arg $ horizon_arg
-          $ seed_arg $ sim_arg $ reps_arg ~default:1 $ jobs_arg $ faults_term $ on_error_arg
-          $ rep_timeout_arg $ max_events_arg $ telemetry_term)
+    Term.(const run $ k_arg $ q_arg $ f_arg $ us_arg $ mu_arg $ gamma_arg $ sim_arg
+          $ run_opts_term)
 
 (* ---- drift ---- *)
 
@@ -1262,122 +1279,39 @@ let overlay_cmd =
     Arg.(value & opt choice_conv Sim_network.Random_useful & info [ "choice" ] ~docv:"NAME"
          ~doc:"Piece choice: random|rarest-global|rarest-local.")
   in
-  let replicated cfg ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
-      ~progress:want_progress =
-    let progress = if want_progress then Progress.create ~total:reps () else Progress.silent in
-    let with_faults = not (Faults.is_none faults) in
-    let metrics =
-      [ "time-avg N"; "final N"; "transfers"; "silent contacts"; "mean overlay degree";
-        "growth dN/dt" ]
-      @ fault_metric_names faults
-    in
-    let thunk ~rng ~index:_ =
-      let s, _ = Sim_network.run ?max_events ~rng cfg ~horizon in
-      Progress.add_events progress s.Sim_network.events;
-      let growth = (Classify.of_samples s.samples).growth_rate in
-      let degree =
-        if Float.is_nan s.mean_degree_time_avg then 0.0 else s.mean_degree_time_avg
-      in
-      let values =
-        Array.append
-          [| s.time_avg_n; float_of_int s.final_n; float_of_int s.transfers;
-             float_of_int s.silent_contacts; degree; growth |]
-          (if with_faults then
-             [| s.outage_time; float_of_int s.aborted_peers; float_of_int s.lost_transfers |]
-           else [||])
-      in
-      Runner.rep ~flagged:s.truncated ~obs:[| s.time_avg_n |] values
-    in
-    replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s:rep_timeout ~progress ~metrics
-      thunk
-  in
-  let run params horizon seed degree choice reps jobs faults on_error rep_timeout max_events
-      tel =
-    let cfg = { (Sim_network.default_config params) with degree; choice; faults } in
-    if reps > 1 then begin
-      reject_single_run_telemetry tel;
-      replicated cfg ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
-        ~progress:tel.progress;
-      report_effective_verdict params faults
-    end
-    else begin
-      let s, _ =
-        with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
-            Sim_network.run_seeded ~probe ?max_events ~seed cfg ~horizon)
-      in
-      truncation_warning s.truncated;
-      let r = Classify.of_run ~truncated:s.truncated s.samples in
-      Report.kv
-        ([
-           ("verdict", Classify.verdict_to_string r.verdict);
-           ("time-avg N", Report.fmt_float s.time_avg_n);
-           ("transfers", string_of_int s.transfers);
-           ("silent contacts", string_of_int s.silent_contacts);
-           ( "mean overlay degree",
-             if Float.is_nan s.mean_degree_time_avg then "-"
-             else Report.fmt_float s.mean_degree_time_avg );
-           ("components at end", string_of_int (List.length s.final_component_sizes));
-         ]
-        @ fault_rows faults (s.outage_time, s.aborted_peers, s.lost_transfers));
-      report_effective_verdict params faults
-    end
+  let run params degree choice o =
+    let config = { (Sim_network.default_config params) with degree; choice; faults = o.faults } in
+    drive (network_backend config o) o ~k:params.k ()
   in
   Cmd.v
     (Cmd.info "overlay" ~doc:"Simulate the swarm on a sparse random overlay")
-    Term.(const run $ params_term $ horizon_arg $ seed_arg $ degree_arg $ choice_arg
-          $ reps_arg ~default:1 $ jobs_arg $ faults_term $ on_error_arg $ rep_timeout_arg
-          $ max_events_arg $ telemetry_term)
+    Term.(const run $ params_term $ degree_arg $ choice_arg $ run_opts_term)
 
 (* ---- hetero ---- *)
 
 let hetero_cmd =
-  let class_conv =
-    let hint = "expected LABEL=MU,GAMMA,RATE, e.g. 'fast=2,inf,0.5' (GAMMA may be 'inf')" in
-    let parse spec =
-      let fail fmt = Printf.ksprintf (fun m -> Error (`Msg (m ^ "; " ^ hint))) fmt in
-      match String.split_on_char '=' spec with
-      | [ label; rest ] -> begin
-          match String.split_on_char ',' rest with
-          | [ mu; gamma; rate ] ->
-              let parse_float name s k =
-                if s = "inf" then k infinity
-                else
-                  match float_of_string_opt s with
-                  | Some v -> k v
-                  | None -> fail "bad %s %S in class spec %S" name s spec
-              in
-              parse_float "mu" mu (fun mu ->
-                  parse_float "gamma" gamma (fun gamma ->
-                      parse_float "rate" rate (fun rate ->
-                          Ok
-                            {
-                              Hetero.label;
-                              mu;
-                              gamma;
-                              arrivals = [ (Pieceset.empty, rate) ];
-                            })))
-          | _ -> fail "class spec %S is not of the form LABEL=MU,GAMMA,RATE" spec
-        end
-      | _ -> fail "class spec %S is not of the form LABEL=MU,GAMMA,RATE" spec
-    in
-    let pp fmt (c : Hetero.klass) =
-      let rate = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 c.arrivals in
-      Format.fprintf fmt "%s=%g,%g,%g" c.label c.mu c.gamma rate
-    in
-    Arg.conv (parse, pp)
-  in
   let class_arg =
     let doc =
       "A peer class $(docv) as LABEL=MU,GAMMA,RATE (empty-handed arrivals at RATE; GAMMA may \
        be 'inf'); repeatable."
     in
     Arg.(value
-         & opt_all class_conv
-             [ { Hetero.label = "all"; mu = 1.0; gamma = 2.0; arrivals = [ (Pieceset.empty, 1.0) ] } ]
+         & opt_all (pair ~sep:'=' string (t3 ~sep:',' float float float)) [ ("all", (1.0, 2.0, 1.0)) ]
          & info [ "class"; "c" ] ~docv:"SPEC" ~doc)
   in
-  let run k us horizon seed classes =
-    let h = Hetero.make ~k ~us ~classes in
+  let hetero_term =
+    let make k us specs =
+      let classes =
+        List.map
+          (fun (label, (mu, gamma, rate)) ->
+            { Hetero.label; mu; gamma; arrivals = [ (Pieceset.empty, rate) ] })
+          specs
+      in
+      valid_model (fun () -> Hetero.make ~k ~us ~classes)
+    in
+    Term.(const make $ k_arg $ us_arg $ class_arg)
+  in
+  let run (h : Hetero.t) horizon seed =
     Report.kv
       [
         ("heuristic verdict", Stability.verdict_to_string (Hetero.classify_heuristic h));
@@ -1385,28 +1319,13 @@ let hetero_cmd =
         ("heuristic threshold", Report.fmt_float (Hetero.threshold h ~piece:0));
         ("lambda_total", Report.fmt_float (Hetero.lambda_total h));
       ];
-    let s = Hetero.simulate_seeded ~seed h ~horizon in
-    let r = Classify.of_samples s.samples in
-    Report.kv
-      [
-        ("simulated verdict", Classify.verdict_to_string r.verdict);
-        ("time-avg N", Report.fmt_float s.time_avg_n);
-      ];
-    Report.subsection "per class";
-    Report.table
-      ~header:[ "class"; "mean N"; "mean sojourn" ]
-      (List.mapi
-         (fun i (c : Hetero.klass) ->
-           [
-             c.label;
-             Report.fmt_float s.class_mean_n.(i);
-             Report.fmt_float s.class_mean_sojourn.(i);
-           ])
-         classes)
+    let labels = Array.to_list (Array.map (fun (c : Hetero.klass) -> c.label) h.classes) in
+    let o = plain_run_opts ~horizon ~seed in
+    single_run (fst (agent_backend ~labels (Hetero.agent_config h) o)) o ~k:h.k ~csv:None
   in
   Cmd.v
     (Cmd.info "hetero" ~doc:"Heterogeneous peer classes: heuristic region + simulation")
-    Term.(const run $ k_arg $ us_arg $ horizon_arg $ seed_arg $ class_arg)
+    Term.(const run $ hetero_term $ horizon_arg $ seed_arg)
 
 (* ---- exact ---- *)
 
@@ -1441,19 +1360,6 @@ let exact_cmd =
 (* ---- reachable ---- *)
 
 let reachable_cmd =
-  let policy_arg =
-    let policy_conv =
-      Arg.enum
-        [
-          ("random", Policy.random_useful);
-          ("rarest", Policy.rarest_first);
-          ("common", Policy.most_common_first);
-          ("sequential", Policy.sequential);
-        ]
-    in
-    Arg.(value & opt policy_conv Policy.sequential & info [ "policy" ] ~docv:"NAME"
-         ~doc:"Piece selection: random|rarest|common|sequential.")
-  in
   let nmax_arg =
     Arg.(value & opt int 4 & info [ "n-max" ] ~docv:"N" ~doc:"Population cap for the search.")
   in
@@ -1475,7 +1381,7 @@ let reachable_cmd =
   Cmd.v
     (Cmd.info "reachable"
        ~doc:"Explore the minimal closed set of states under a piece-selection policy")
-    Term.(const run $ params_term $ policy_arg $ nmax_arg)
+    Term.(const run $ params_term $ policy_arg ~default:Policy.sequential $ nmax_arg)
 
 (* ---- borderline ---- *)
 

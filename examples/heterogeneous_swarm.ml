@@ -6,7 +6,8 @@
    c, so the seed branching factor is the arrival-mix average
    m_bar = sum_c p_c mu_c/gamma_c and the system tolerates any load once
    m_bar >= 1.  A small population of patient ("sticky") peers can
-   therefore carry an arbitrarily large crowd of impatient ones. *)
+   therefore carry an arbitrarily large crowd of impatient ones.  The
+   simulations run the classes on Sim_agent through Hetero.agent_config. *)
 
 open P2p_core
 module PS = P2p_pieceset.Pieceset
@@ -29,8 +30,8 @@ let () =
       (fun share ->
         let h = mix ~impatient:(2.0 *. (1.0 -. share)) ~sticky:(2.0 *. share) in
         let m_bar = Hetero.mean_seed_offspring h ~piece:0 in
-        let s = Hetero.simulate_seeded ~seed:41 h ~horizon:2500.0 in
-        let r = Classify.of_samples s.samples in
+        let s, _ = Sim_agent.run_seeded ~seed:41 (Hetero.agent_config h) ~horizon:2500.0 in
+        let r = Classify.of_run ~truncated:s.truncated s.samples in
         [
           Report.fmt_float share;
           Report.fmt_float m_bar;
@@ -51,7 +52,7 @@ let () =
 
   Report.subsection "who does the work (sticky share 0.6)";
   let h = mix ~impatient:0.8 ~sticky:1.2 in
-  let s = Hetero.simulate_seeded ~seed:42 h ~horizon:2500.0 in
+  let s, _ = Sim_agent.run_seeded ~seed:42 (Hetero.agent_config h) ~horizon:2500.0 in
   Report.table
     ~header:[ "class"; "mean population"; "mean sojourn" ]
     [

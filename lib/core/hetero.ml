@@ -1,6 +1,4 @@
 module Pieceset = P2p_pieceset.Pieceset
-module Rng = P2p_prng.Rng
-module Dist = P2p_prng.Dist
 
 type klass = {
   label : string;
@@ -11,30 +9,20 @@ type klass = {
 
 type t = { k : int; us : float; classes : klass array }
 
+(* The classes as a Sim_agent class table, in order. *)
+let agent_classes classes =
+  Array.map
+    (fun c ->
+      { Sim_agent.mu = c.mu; gamma = c.gamma; arrivals = Array.of_list c.arrivals })
+    classes
+
 let make ~k ~us ~classes =
   if k < 1 || k > Pieceset.max_pieces then invalid_arg "Hetero.make: k out of range";
-  if us < 0.0 then invalid_arg "Hetero.make: us must be >= 0";
+  if not (us >= 0.0 && Float.is_finite us) then invalid_arg "Hetero.make: us must be finite >= 0";
   if classes = [] then invalid_arg "Hetero.make: need at least one class";
-  let full = Pieceset.full ~k in
-  List.iter
-    (fun c ->
-      if c.mu <= 0.0 then invalid_arg "Hetero.make: class mu must be > 0";
-      if c.gamma <= 0.0 then invalid_arg "Hetero.make: class gamma must be positive";
-      List.iter
-        (fun (set, rate) ->
-          if rate < 0.0 then invalid_arg "Hetero.make: negative arrival rate";
-          if not (Pieceset.subset set full) then invalid_arg "Hetero.make: type beyond K";
-          if Pieceset.equal set full && not (Float.is_finite c.gamma) then
-            invalid_arg "Hetero.make: lambda_F needs finite gamma")
-        c.arrivals)
-    classes;
-  let total =
-    List.fold_left
-      (fun acc c -> List.fold_left (fun acc (_, r) -> acc +. r) acc c.arrivals)
-      0.0 classes
-  in
-  if total <= 0.0 then invalid_arg "Hetero.make: total arrival rate must be positive";
-  { k; us; classes = Array.of_list classes }
+  let classes = Array.of_list classes in
+  Sim_agent.check_classes ~who:"Hetero.make" ~k (agent_classes classes);
+  { k; us; classes }
 
 let of_params (p : Params.t) =
   make ~k:p.k ~us:p.us
@@ -122,233 +110,12 @@ let classify_heuristic ?(tolerance = 1e-9) t =
   else if lambda < !worst *. (1.0 -. tolerance) then Stability.Positive_recurrent
   else Stability.Borderline
 
-(* ---- simulation ---- *)
-
-type peer = {
-  mutable pieces : Pieceset.t;
-  klass : int;
-  arrival_time : float;
-  mutable slot_global : int;
-  mutable slot_class : int;
-  mutable departed : bool;
-}
-
-type bag = { mutable items : peer array; mutable len : int }
-
-let bag_create () = { items = [||]; len = 0 }
-
-let bag_add which bag peer =
-  if bag.len = Array.length bag.items then begin
-    let bigger = Array.make (Int.max 16 (2 * bag.len)) peer in
-    Array.blit bag.items 0 bigger 0 bag.len;
-    bag.items <- bigger
-  end;
-  (match which with
-  | `Global -> peer.slot_global <- bag.len
-  | `Class -> peer.slot_class <- bag.len);
-  bag.items.(bag.len) <- peer;
-  bag.len <- bag.len + 1
-
-let bag_remove which bag peer =
-  let i = match which with `Global -> peer.slot_global | `Class -> peer.slot_class in
-  bag.len <- bag.len - 1;
-  if i <> bag.len then begin
-    let moved = bag.items.(bag.len) in
-    bag.items.(i) <- moved;
-    match which with `Global -> moved.slot_global <- i | `Class -> moved.slot_class <- i
-  end;
-  match which with `Global -> peer.slot_global <- -1 | `Class -> peer.slot_class <- -1
-
-let bag_uniform bag rng =
-  if bag.len = 0 then invalid_arg "Hetero: empty bag";
-  bag.items.(Rng.int_below rng bag.len)
-
-type stats = {
-  final_time : float;
-  events : int;
-  arrivals : int;
-  transfers : int;
-  departures : int;
-  time_avg_n : float;
-  max_n : int;
-  final_n : int;
-  samples : (float * int) array;
-  class_mean_n : float array;
-  class_mean_sojourn : float array;
-}
-
-let simulate ?sample_every ?(max_events = 200_000_000) ~rng t ~horizon =
-  let full = Pieceset.full ~k:t.k in
-  let nc = Array.length t.classes in
-  let global = bag_create () in
-  let per_class = Array.init nc (fun _ -> bag_create ()) in
-  let state = State.create () in
-  let departures_heap : peer P2p_des.Heap.t = P2p_des.Heap.create () in
-  let clock = ref 0.0 in
-  let events = ref 0 in
-  let arrivals = ref 0 in
-  let transfers = ref 0 in
-  let departures = ref 0 in
-  let max_n = ref 0 in
-  let avg = P2p_stats.Timeavg.create () in
-  let class_avg = Array.init nc (fun _ -> P2p_stats.Timeavg.create ()) in
-  let sojourn = Array.init nc (fun _ -> P2p_stats.Welford.create ()) in
-  (* flatten the arrival streams into (class, type, rate) *)
-  let streams =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun ci (c : klass) -> List.map (fun (set, r) -> (ci, set, r)) c.arrivals)
-            (Array.to_list t.classes)))
+(* The class table supplies every rate and stream of the agent run, so
+   [params] holds K, U_s, the pooled streams and placeholder rates:
+   [make]'s checks leave [Params.make] nothing to reject. *)
+let agent_config t =
+  let params =
+    Params.make ~k:t.k ~us:t.us ~mu:1.0 ~gamma:1.0
+      ~arrivals:(List.concat_map (fun c -> c.arrivals) (Array.to_list t.classes))
   in
-  let stream_weights = Array.map (fun (_, _, r) -> r) streams in
-  let lambda = Array.fold_left ( +. ) 0.0 stream_weights in
-
-  let new_peer ci set ~time =
-    let peer =
-      {
-        pieces = set;
-        klass = ci;
-        arrival_time = time;
-        slot_global = -1;
-        slot_class = -1;
-        departed = false;
-      }
-    in
-    bag_add `Global global peer;
-    bag_add `Class per_class.(ci) peer;
-    State.add_peer state set;
-    peer
-  in
-  let depart peer ~time =
-    bag_remove `Global global peer;
-    bag_remove `Class per_class.(peer.klass) peer;
-    State.remove_peer state peer.pieces;
-    peer.departed <- true;
-    incr departures;
-    P2p_stats.Welford.add sojourn.(peer.klass) (time -. peer.arrival_time)
-  in
-  let complete peer ~time =
-    let c = t.classes.(peer.klass) in
-    if Float.is_finite c.gamma then begin
-      let dwell = Dist.exponential rng ~rate:c.gamma in
-      ignore (P2p_des.Heap.insert departures_heap ~key:(time +. dwell) peer)
-    end
-    else depart peer ~time
-  in
-  let deliver peer piece ~time =
-    incr transfers;
-    let target = Pieceset.add piece peer.pieces in
-    State.move_peer state ~from_:peer.pieces ~to_:target;
-    peer.pieces <- target;
-    if Pieceset.equal target full then complete peer ~time
-  in
-  let contact uploader_pieces ~time =
-    if global.len > 0 then begin
-      let downloader = bag_uniform global rng in
-      let useful = Pieceset.diff uploader_pieces downloader.pieces in
-      if not (Pieceset.is_empty useful) then
-        deliver downloader (Pieceset.choose_uniform (Rng.int_below rng) useful) ~time
-    end
-  in
-  let observe time =
-    P2p_stats.Timeavg.observe avg ~time ~value:(float_of_int global.len);
-    Array.iteri
-      (fun ci bag -> P2p_stats.Timeavg.observe class_avg.(ci) ~time ~value:(float_of_int bag.len))
-      per_class;
-    if global.len > !max_n then max_n := global.len
-  in
-  observe 0.0;
-  let sample_every =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
-  in
-  let samples = ref [] in
-  let next_sample = ref 0.0 in
-  let record_through time =
-    while !next_sample <= time && !next_sample <= horizon do
-      samples := (!next_sample, global.len) :: !samples;
-      next_sample := !next_sample +. sample_every
-    done
-  in
-  record_through 0.0;
-  let running = ref true in
-  while !running do
-    let rate_seed = if global.len = 0 then 0.0 else t.us in
-    let rate_peers = ref 0.0 in
-    Array.iteri
-      (fun ci bag -> rate_peers := !rate_peers +. (t.classes.(ci).mu *. float_of_int bag.len))
-      per_class;
-    let total = lambda +. rate_seed +. !rate_peers in
-    let dt = Dist.exponential rng ~rate:total in
-    let t_candidate = !clock +. dt in
-    let next_departure = P2p_des.Heap.min_key departures_heap in
-    let departure_first =
-      match next_departure with Some d -> d <= t_candidate && d <= horizon | None -> false
-    in
-    if departure_first then begin
-      match P2p_des.Heap.pop_min departures_heap with
-      | Some (time, peer) ->
-          record_through time;
-          clock := time;
-          incr events;
-          if not peer.departed then depart peer ~time;
-          observe time
-      | None -> assert false
-    end
-    else if t_candidate > horizon || !events >= max_events then begin
-      record_through horizon;
-      P2p_stats.Timeavg.close avg ~time:horizon;
-      Array.iter (fun a -> P2p_stats.Timeavg.close a ~time:horizon) class_avg;
-      clock := horizon;
-      running := false
-    end
-    else begin
-      record_through t_candidate;
-      clock := t_candidate;
-      incr events;
-      let u = Rng.float rng *. total in
-      if u < lambda then begin
-        let idx = Dist.categorical rng ~weights:stream_weights in
-        let ci, set, _ = streams.(idx) in
-        let peer = new_peer ci set ~time:!clock in
-        incr arrivals;
-        if Pieceset.equal set full then complete peer ~time:!clock
-      end
-      else if u < lambda +. rate_seed then contact full ~time:!clock
-      else begin
-        (* pick the uploader class proportionally to mu_c * n_c *)
-        let target = u -. lambda -. rate_seed in
-        let acc = ref 0.0 in
-        let chosen = ref (-1) in
-        Array.iteri
-          (fun ci bag ->
-            if !chosen < 0 then begin
-              acc := !acc +. (t.classes.(ci).mu *. float_of_int bag.len);
-              if target < !acc then chosen := ci
-            end)
-          per_class;
-        let ci = if !chosen < 0 then nc - 1 else !chosen in
-        if per_class.(ci).len > 0 then begin
-          let uploader = bag_uniform per_class.(ci) rng in
-          contact uploader.pieces ~time:!clock
-        end
-      end;
-      observe !clock
-    end
-  done;
-  {
-    final_time = !clock;
-    events = !events;
-    arrivals = !arrivals;
-    transfers = !transfers;
-    departures = !departures;
-    time_avg_n = P2p_stats.Timeavg.average avg;
-    max_n = !max_n;
-    final_n = global.len;
-    samples = Array.of_list (List.rev !samples);
-    class_mean_n = Array.map P2p_stats.Timeavg.average class_avg;
-    class_mean_sojourn = Array.map P2p_stats.Welford.mean sojourn;
-  }
-
-let simulate_seeded ?sample_every ?max_events ~seed t ~horizon =
-  simulate ?sample_every ?max_events ~rng:(Rng.of_seed seed) t ~horizon
+  { (Sim_agent.default_config params) with classes = agent_classes t.classes }

@@ -19,7 +19,8 @@
     {v λ_total < (U_s + Σ_{c,C∋k} λ_{c,C}(K−|C|+μ_c/γ_c)) / (1 − m̄) + Σ_{c,C∋k} λ_{c,C} v}
 
     reducing to Theorem 1 when there is a single class.  This is a
-    conjecture, not a theorem; experiment E18 probes it by simulation. *)
+    conjecture, not a theorem; experiment E18 probes it by simulation,
+    running {!agent_config} on {!Sim_agent}. *)
 
 module Pieceset = P2p_pieceset.Pieceset
 
@@ -54,29 +55,10 @@ val classify_heuristic : ?tolerance:float -> t -> Stability.verdict
     structure.  Exact for a single class (a test checks it against
     {!Stability.classify}). *)
 
-(* ---- simulation ---- *)
-
-type stats = {
-  final_time : float;
-  events : int;
-  arrivals : int;
-  transfers : int;
-  departures : int;
-  time_avg_n : float;
-  max_n : int;
-  final_n : int;
-  samples : (float * int) array;
-  class_mean_n : float array;  (** time-average population per class *)
-  class_mean_sojourn : float array;  (** [nan] where no departures *)
-}
-
-val simulate :
-  ?sample_every:float ->
-  ?max_events:int ->
-  rng:P2p_prng.Rng.t ->
-  t ->
-  horizon:float ->
-  stats
-
-val simulate_seeded :
-  ?sample_every:float -> ?max_events:int -> seed:int -> t -> horizon:float -> stats
+val agent_config : t -> Sim_agent.config
+(** The swarm as a {!Sim_agent} run: one class-table entry per class,
+    in order, so [stats.class_mean_n.(i)] is class [i]'s.  The table
+    supplies every rate and arrival stream; [params] carries [k], [us]
+    and the pooled streams, and its [mu] and [gamma] are placeholders
+    that {!Sim_agent} does not read.  Everything else is
+    {!Sim_agent.default_config}. *)

@@ -16,7 +16,7 @@ let make ~k ~us ~mu ~gamma ~arrivals =
     invalid_arg (Printf.sprintf "Params.make: us must be finite >= 0, got %g" us);
   if mu <= 0.0 || not (Float.is_finite mu) then
     invalid_arg (Printf.sprintf "Params.make: mu must be finite > 0, got %g" mu);
-  if gamma <= 0.0 then
+  if not (gamma > 0.0) then
     invalid_arg (Printf.sprintf "Params.make: gamma must be positive (or infinity), got %g" gamma);
   let full = Pieceset.full ~k in
   (* Deduplicate: sum rates per type, drop zero entries. *)

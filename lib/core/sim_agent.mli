@@ -12,7 +12,10 @@
       distribution (experiment E6 extension);
     - the Section VIII-C "faster recovery" variant: any uploader whose
       last contact found no useful piece ticks at rate [η·μ] (the seed at
-      [η·U_s]) until its next contact. *)
+      [η·U_s]) until its next contact;
+    - heterogeneous peer classes (the paper's conclusion): each class has
+      its own contact rate [μ_c], dwell rate [γ_c] and arrival streams.
+      {!Hetero} holds the threshold heuristic for such swarms. *)
 
 module Pieceset = P2p_pieceset.Pieceset
 
@@ -21,18 +24,38 @@ type dwell =
   | Deterministic_dwell  (** constant 1/γ *)
   | Erlang_dwell of int  (** [Erlang_dwell m]: m stages, same mean 1/γ *)
 
+(** A peer class: its peers contact at [mu], dwell as seeds at [gamma]
+    (shaped by {!config.dwell}), and arrive through [arrivals]. *)
+type peer_class = {
+  mu : float;  (** contact rate, finite > 0 *)
+  gamma : float;  (** seed dwell rate; [infinity] = leave on completion *)
+  arrivals : (Pieceset.t * float) array;  (** the class's [(C, λ_C)] streams *)
+}
+
 type config = {
   params : Params.t;
   policy : Policy.t;
   dwell : dwell;
   eta : float;  (** unsuccessful-contact speedup; 1.0 = paper model *)
   rare_piece : int;  (** the piece the group decomposition tracks *)
-  initial : (Pieceset.t * int) list;
+  initial : (Pieceset.t * int) list;  (** the peers at time 0, all of class 0 *)
   faults : Faults.t;  (** fault injection; {!Faults.none} = the paper's model *)
+  classes : peer_class array;
+      (** [[||]] = the paper's one class: [params.mu], [params.gamma] and
+          [params.arrivals].  A non-empty table supplies every class's
+          rates and streams, and [params] only [k] and [us].  A one-class
+          table equal to [params]' values gives a bit-identical run. *)
 }
 
+val check_classes : who:string -> k:int -> peer_class array -> unit
+(** @raise Invalid_argument, naming [who], unless every class has a
+    finite [mu > 0], [gamma > 0], finite non-negative arrival rates of
+    types within [{0..k-1}], no full-type arrivals when [gamma =
+    infinity], and the classes' arrival rates have a positive sum. *)
+
 val default_config : Params.t -> config
-(** Random-useful, exponential dwell, [eta = 1.0], rare piece 0, no faults. *)
+(** Random-useful, exponential dwell, [eta = 1.0], rare piece 0, no
+    faults, one class. *)
 
 type groups = {
   young : int;  (** missing the rare piece and at least one other *)
@@ -67,6 +90,8 @@ type stats = {
   one_club_time_fraction : float;
       (** time-average fraction of peers in the one-club (+ former members
           still present): the missing-piece-syndrome witness *)
+  class_mean_n : float array;  (** time-average population per class *)
+  class_mean_sojourn : float array;  (** per class; [nan] where none departed *)
 }
 
 val run :
@@ -79,6 +104,9 @@ val run :
   stats * State.t
 (** Simulate on [0, horizon]; returns statistics and the final aggregate
     state (type counts).
+    @raise Invalid_argument on an invalid class table (a rate out of
+    range, arrivals of full peers in a class with [gamma = infinity], or
+    no positive arrival stream).
 
     [probe] (default {!P2p_obs.Probe.none}) attaches telemetry exactly as
     in {!Sim_markov.run}: pure observation, never a perturbation — runs

@@ -169,7 +169,10 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
             | Rarest_local -> begin
                 match uploader with
                 | None -> Some (Pieceset.choose_uniform (Rng.int_below rng) useful)
-                | Some up -> Some (pick_rarest useful (neighborhood_counts up))
+                | Some up when sparse -> Some (pick_rarest useful (neighborhood_counts up))
+                | Some _ ->
+                    (* Fully connected: the neighbourhood is the swarm. *)
+                    Some (pick_rarest useful (State.piece_count_vector state ~k:p.k))
               end
         in
         let deliver peer piece ~time =

@@ -1,5 +1,5 @@
-(* Heterogeneous peer classes: the threshold heuristic and the multi-class
-   simulator. *)
+(* Heterogeneous peer classes: the threshold heuristic, and its classes
+   simulated on Sim_agent's class table. *)
 
 open P2p_core
 module PS = P2p_pieceset.Pieceset
@@ -85,54 +85,65 @@ let test_threshold_infinite_when_supercritical () =
   Alcotest.(check string) "stable at any load" "positive-recurrent"
     (Stability.verdict_to_string (Hetero.classify_heuristic h))
 
+(* ---- simulation: the class table on Sim_agent ---- *)
+
+let simulate ?max_events ~seed h ~horizon =
+  fst (Sim_agent.run_seeded ?max_events ~seed (Hetero.agent_config h) ~horizon)
+
+let verdict (s : Sim_agent.stats) =
+  Classify.verdict_to_string (Classify.of_run ~truncated:s.truncated s.samples).verdict
+
 let test_simulation_conservation () =
   let h = two_classes ~lam_fast:0.3 ~lam_slow:0.3 in
-  let s = Hetero.simulate_seeded ~seed:1 h ~horizon:1000.0 in
+  let s = simulate ~seed:1 h ~horizon:1000.0 in
   Alcotest.(check int) "conservation" (s.arrivals - s.departures) s.final_n;
   Alcotest.(check int) "class count" 2 (Array.length s.class_mean_n)
 
-let test_simulation_matches_single_class_agent () =
+(* An explicit one-class table is the paper's model: every statistic and
+   the final state match the default config bit for bit, on the plain
+   and the sharded path, so a lone class draws no extra random number. *)
+let test_one_class_is_default_agent () =
   let p = Scenario.flash_crowd ~k:3 ~lambda:0.8 ~us:0.8 ~mu:1.0 ~gamma:2.0 in
-  let avg run_fn =
-    let w = P2p_stats.Welford.create () in
-    for seed = 1 to 8 do
-      P2p_stats.Welford.add w (run_fn seed)
-    done;
-    P2p_stats.Welford.mean w
+  let initial = [ (PS.empty, 6) ] in
+  let explicit = { (Hetero.agent_config (Hetero.of_params p)) with initial } in
+  let default = { (Sim_agent.default_config p) with initial } in
+  let same name (a : Sim_agent.stats * State.t) (b : Sim_agent.stats * State.t) =
+    Alcotest.(check bool) (name ^ ": stats") true (fst a = fst b);
+    Alcotest.(check bool) (name ^ ": state") true (State.to_alist (snd a) = State.to_alist (snd b))
   in
-  let hetero seed =
-    (Hetero.simulate_seeded ~seed (Hetero.of_params p) ~horizon:1500.0).time_avg_n
-  in
-  let agent seed =
-    (fst (Sim_agent.run_seeded ~seed:(seed + 40) (Sim_agent.default_config p) ~horizon:1500.0))
-      .time_avg_n
-  in
-  let a = avg agent and h = avg hetero in
-  Alcotest.(check bool)
-    (Printf.sprintf "same law: %.2f vs %.2f" a h)
-    true
-    (Float.abs (a -. h) /. Float.max 1.0 a < 0.15)
+  same "run"
+    (Sim_agent.run_seeded ~seed:7 explicit ~horizon:400.0)
+    (Sim_agent.run_seeded ~seed:7 default ~horizon:400.0);
+  List.iter
+    (fun (shards, jobs) ->
+      let go config =
+        let s, st, r = Sim_agent.run_sharded_seeded ~jobs ~shards ~seed:9 config ~horizon:400.0 in
+        ((s, st), r.Sim_agent.shard_events)
+      in
+      let (a, ea), (b, eb) = (go explicit, go default) in
+      let name = Printf.sprintf "shards %d, jobs %d" shards jobs in
+      same name a b;
+      Alcotest.(check (array int)) (name ^ ": per-shard events") eb ea)
+    [ (1, 1); (2, 1); (2, 2) ]
 
 let test_two_class_region_by_simulation () =
   let stable = two_classes ~lam_fast:0.3 ~lam_slow:0.3 in
   Alcotest.(check string) "heuristic stable" "positive-recurrent"
     (Stability.verdict_to_string (Hetero.classify_heuristic stable));
-  let s = Hetero.simulate_seeded ~seed:2 stable ~horizon:2000.0 in
-  Alcotest.(check string) "sim stable" "appears-stable"
-    (Classify.verdict_to_string (Classify.of_samples s.samples).verdict);
+  let s = simulate ~seed:2 stable ~horizon:2000.0 in
+  Alcotest.(check string) "sim stable" "appears-stable" (verdict s);
   let transient = two_classes ~lam_fast:1.0 ~lam_slow:1.0 in
   Alcotest.(check string) "heuristic transient" "transient"
     (Stability.verdict_to_string (Hetero.classify_heuristic transient));
-  let s = Hetero.simulate_seeded ~seed:3 transient ~horizon:2000.0 in
-  Alcotest.(check string) "sim transient" "appears-unstable"
-    (Classify.verdict_to_string (Classify.of_samples s.samples).verdict)
+  let s = simulate ~seed:3 transient ~horizon:2000.0 in
+  Alcotest.(check string) "sim transient" "appears-unstable" (verdict s)
 
 let test_fast_class_finishes_faster () =
-  (* The slow class's sojourn is dominated by its own download clock?  No:
-     downloads come from others' uploads.  But slow peers dwell as seeds
-     for 1/0.6 vs fast 1/6, so their sojourn must be longer. *)
+  (* Downloads come from everyone's uploads, but slow peers dwell as
+     seeds for 1/0.6 against the fast class's 1/6, so their sojourn must
+     be longer. *)
   let h = two_classes ~lam_fast:0.3 ~lam_slow:0.3 in
-  let s = Hetero.simulate_seeded ~seed:4 h ~horizon:3000.0 in
+  let s = simulate ~seed:4 h ~horizon:3000.0 in
   Alcotest.(check bool)
     (Printf.sprintf "slow sojourn %.2f > fast %.2f" s.class_mean_sojourn.(1)
        s.class_mean_sojourn.(0))
@@ -157,9 +168,63 @@ let test_sticky_slow_class_stabilises () =
   (* with enough sticky mass, m_bar = (1.0*0 + s*2.5)/(1+s) >= 1 at s >= 2/3 *)
   Alcotest.(check string) "sticky mass rescues" "positive-recurrent"
     (Stability.verdict_to_string (Hetero.classify_heuristic (mix 0.8)));
-  let s = Hetero.simulate_seeded ~seed:5 (mix 0.8) ~horizon:2000.0 in
-  Alcotest.(check string) "sim agrees" "appears-stable"
-    (Classify.verdict_to_string (Classify.of_samples s.samples).verdict)
+  let s = simulate ~seed:5 (mix 0.8) ~horizon:2000.0 in
+  Alcotest.(check string) "sim agrees" "appears-stable" (verdict s)
+
+(* An exhausted event budget is reported, not papered over: the run is
+   flagged truncated and its verdict is inconclusive. *)
+let test_truncation_reported () =
+  let s = simulate ~max_events:50 ~seed:6 (two_classes ~lam_fast:1.0 ~lam_slow:1.0) ~horizon:500.0 in
+  Alcotest.(check bool) "truncated" true s.truncated;
+  Alcotest.(check int) "events = budget" 50 s.events;
+  Alcotest.(check string) "inconclusive" "inconclusive" (verdict s)
+
+(* The peer band is Σ_c μ_c·n_c: in a given population the first peer
+   contact's uploader is of class c with probability μ_c·n_c / Σ.  Three
+   class-0 peers start with pieces 0, 1 and 2; class-1 peers arrive with
+   piece 3, and only trials whose first contact finds exactly one of them
+   are kept.  In that population every peer holds a piece nobody else
+   has, so a contact moves the uploader's piece, which names its class,
+   unless it is a self-contact; that has chance 1/4 for every uploader,
+   so dropping it leaves the law unchanged. *)
+let test_uploader_class_law () =
+  let classes =
+    [|
+      { Sim_agent.mu = 1.0; gamma = 1.0; arrivals = [||] };
+      { Sim_agent.mu = 2.5; gamma = 1.0; arrivals = [| (PS.singleton 3, 3.0) |] };
+    |]
+  in
+  let params = Params.make ~k:4 ~us:0.0 ~mu:1.0 ~gamma:1.0 ~arrivals:[ (PS.singleton 3, 3.0) ] in
+  let initial = List.init 3 (fun i -> (PS.singleton i, 1)) in
+  let config = { (Sim_agent.default_config params) with classes; initial } in
+  let p0 = 3.0 /. (3.0 +. 2.5) in
+  let rng = P2p_prng.Rng.of_seed 2024 in
+  let trials = ref 0 and class0 = ref 0 in
+  for _ = 1 to 20_000 do
+    (* Class-1 arrivals before the first contact; that contact is kept
+       when it is useful and found exactly one of them. *)
+    let arrived = ref 0 and phase = ref `Before in
+    let on_event ~time:_ = function
+      | P2p_obs.Probe.Arrival _ when !phase = `Before -> incr arrived
+      | P2p_obs.Probe.Contact { useful; _ } when !phase = `Before ->
+          phase := if useful && !arrived = 1 then `Kept else `Done
+      | P2p_obs.Probe.Transfer { piece; _ } when !phase = `Kept ->
+          incr trials;
+          if piece < 3 then incr class0;
+          phase := `Done
+      | _ -> ()
+    in
+    ignore (Sim_agent.run ~probe:(P2p_obs.Probe.make ~on_event ()) ~max_events:20 ~rng config
+              ~horizon:1e6)
+  done;
+  let n = float_of_int !trials in
+  let freq = float_of_int !class0 /. n in
+  let band = 4.0 *. sqrt (p0 *. (1.0 -. p0) /. n) in
+  Alcotest.(check bool) (Printf.sprintf "enough kept trials (%d)" !trials) true (!trials > 3_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "class-0 uploader share %.4f vs %.4f +- %.4f" freq p0 band)
+    true
+    (Float.abs (freq -. p0) <= band)
 
 let () =
   Alcotest.run "hetero"
@@ -171,9 +236,11 @@ let () =
           Alcotest.test_case "m_bar mixes" `Quick test_mbar_mixes_classes;
           Alcotest.test_case "supercritical" `Quick test_threshold_infinite_when_supercritical;
           Alcotest.test_case "conservation" `Quick test_simulation_conservation;
-          Alcotest.test_case "matches agent" `Slow test_simulation_matches_single_class_agent;
+          Alcotest.test_case "matches agent" `Quick test_one_class_is_default_agent;
           Alcotest.test_case "two-class region" `Quick test_two_class_region_by_simulation;
           Alcotest.test_case "sojourn ordering" `Quick test_fast_class_finishes_faster;
           Alcotest.test_case "sticky class rescues" `Quick test_sticky_slow_class_stabilises;
+          Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
+          Alcotest.test_case "uploader class law" `Quick test_uploader_class_law;
         ] );
     ]

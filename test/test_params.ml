@@ -14,6 +14,7 @@ let test_validation () =
   rejects "negative us" (fun () -> mk ~us:(-1.0) [ (PS.empty, 1.0) ]);
   rejects "mu = 0" (fun () -> mk ~mu:0.0 [ (PS.empty, 1.0) ]);
   rejects "gamma = 0" (fun () -> mk ~gamma:0.0 [ (PS.empty, 1.0) ]);
+  rejects "gamma = nan" (fun () -> mk ~gamma:Float.nan [ (PS.empty, 1.0) ]);
   rejects "no arrivals" (fun () -> mk []);
   rejects "all-zero rates" (fun () -> mk [ (PS.empty, 0.0) ]);
   rejects "negative rate" (fun () -> mk [ (PS.empty, -0.5) ]);

@@ -83,6 +83,18 @@ let test_rarest_choices_run () =
         (Classify.verdict_to_string r.verdict))
     [ Sim_network.Rarest_global; Sim_network.Rarest_local ]
 
+(* With no overlay every peer neighbours the whole swarm, so local
+   rarity is read off the global piece counts (this used to look up
+   overlay nodes that a full mesh never creates). *)
+let test_local_rarest_on_full_mesh () =
+  let cfg =
+    { (Sim_network.default_config stable) with degree = None; choice = Sim_network.Rarest_local }
+  in
+  let s, _ = Sim_network.run_seeded ~seed:8 cfg ~horizon:800.0 in
+  Alcotest.(check int) "conservation" (s.arrivals - s.departures) s.final_n;
+  Alcotest.(check string) "stable" "appears-stable"
+    (Classify.verdict_to_string (Classify.of_run ~truncated:s.truncated s.samples).verdict)
+
 let test_local_rarest_beats_random_on_club_pressure () =
   (* In the transient regime the one-club witness should rise at least as
      fast under random-useful as under local rarest-first (which fights
@@ -130,6 +142,7 @@ let () =
           Alcotest.test_case "mean degree" `Quick test_mean_degree_tracked;
           Alcotest.test_case "degree validation" `Quick test_degree_validation;
           Alcotest.test_case "rarity policies" `Quick test_rarest_choices_run;
+          Alcotest.test_case "rarest-local on full mesh" `Quick test_local_rarest_on_full_mesh;
           Alcotest.test_case "rarest fights the club" `Quick test_local_rarest_beats_random_on_club_pressure;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "degree one" `Quick test_degree_one_line_graph_survives;
