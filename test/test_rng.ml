@@ -173,6 +173,93 @@ let test_pp_stable () =
   let s2 = Format.asprintf "%a" Rng.pp (Rng.of_seed 1) in
   check Alcotest.string "pp deterministic" s1 s2
 
+(* Stream pins: the first outputs of the generator, recorded once and
+   checked literally.  The tests above check only self-consistency, so a
+   change to the state representation or the step that kept a stream
+   self-consistent but different would otherwise show only downstream,
+   as a moved golden. *)
+let seed42_bits =
+  [| 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+     0xfde6dc7fe2ec5e64L; 0xc50da53101795238L; 0xb82154855a65ddb2L; 0xd99a2743ebe60087L |]
+
+let check_bits name expected rng =
+  Array.iteri
+    (fun i want -> check Alcotest.int64 (Printf.sprintf "%s bits64 #%d" name i) want (Rng.bits64 rng))
+    expected
+
+let test_pin_of_seed () = check_bits "of_seed 42" seed42_bits (Rng.of_seed 42)
+
+let test_pin_of_seed_pair () =
+  check_bits "of_seed_pair 42/17"
+    [| 0x3fa9eda0bdcca486L; 0x5065ab8890bb9684L; 0x6ef0069c69753120L; 0xa6c8897f4356b30aL;
+       0x259d5cfd23b93e4dL; 0x4ee11f3497ee9193L; 0x713ca124ca28ece1L; 0xc7e4d1edfe887b25L |]
+    (Rng.of_seed_pair ~master:42 ~stream:17)
+
+let test_pin_split () =
+  let parent = Rng.of_seed 42 in
+  let child = Rng.split parent in
+  check_bits "split child"
+    [| 0x8ee445d14631c453L; 0x106fa1a13296fe62L; 0x729a768806244ce5L; 0x91d83a17b20e6585L;
+       0x38c33df442fc70fdL; 0xe33cd1b92e2e42f1L; 0x3162280b9dcfa5efL; 0xb4f9f0541228b854L |]
+    child;
+  (* [split] consumes exactly one parent output. *)
+  check_bits "parent after split" (Array.sub seed42_bits 1 7) parent
+
+let test_pin_jump () =
+  let rng = Rng.of_seed 42 in
+  Rng.jump rng;
+  check Alcotest.string "pp after jump"
+    "xoshiro256**{81746704fde896b5;645e944932dae0ae;f4776829231c282c;2393f9798732dba1}"
+    (Format.asprintf "%a" Rng.pp rng);
+  check_bits "after jump"
+    [| 0x50086ef83cbf4f4aL; 0xba285ec21347d703L; 0x5ea1247b4dc6452aL; 0x03a5c66424702131L;
+       0x77369f9f12449a8bL; 0x1eab92f3c9460792L; 0xf5484aa43e93f003L; 0x42e0a9ae4359c6feL |]
+    rng
+
+let test_pin_copy_pp () =
+  let rng = Rng.of_seed 42 in
+  check Alcotest.string "pp of_seed 42"
+    "xoshiro256**{bdd732262feb6e95;28efe333b266f103;47526757130f9f52;581ce1ff0e4ae394}"
+    (Format.asprintf "%a" Rng.pp rng);
+  for _ = 1 to 3 do
+    ignore (Rng.bits64 rng)
+  done;
+  check_bits "copy" (Array.sub seed42_bits 3 5) (Rng.copy rng)
+
+let test_pin_int_below () =
+  (* n = 2^61 + 1 rejects about half of the 62-bit draws, so this pins
+     the rejection loop's consumption as well as the reduction. *)
+  let rng = Rng.of_seed 42 in
+  let big =
+    [| 1546998764402558742; 364128774783586872; 1844830170035650695; 209820295410181246;
+       1537523385446153277; 750372260756293989; 941232158054729398; 1317312123653859138;
+       2153870293806673813; 1870316922587333844; 1712965807924549849; 1881838702456566807;
+       1180386813993057008; 721672153837094072; 2263993204587113274; 2087482996259066216 |]
+  in
+  Array.iteri
+    (fun i want ->
+      check Alcotest.int (Printf.sprintf "int_below 2^61+1 #%d" i) want
+        (Rng.int_below rng ((1 lsl 61) + 1)))
+    big;
+  Array.iteri
+    (fun i want -> check Alcotest.int (Printf.sprintf "int_below 7 #%d" i) want (Rng.int_below rng 7))
+    [| 3; 0; 2; 1; 6; 6; 6; 3; 1; 1; 4; 6; 2; 4; 3; 4 |]
+
+let test_pin_floats () =
+  let rng = Rng.of_seed 42 in
+  let check_float name draw expected =
+    Array.iteri
+      (fun i want ->
+        check Alcotest.int64 (Printf.sprintf "%s #%d" name i) want (Int64.bits_of_float (draw rng)))
+      expected
+  in
+  check_float "float" Rng.float
+    [| 0x3fb5780b2e0c2ec0L; 0x3fd84136619b444eL; 0x3fe5c2ea66473c93L; 0x3fed9715a8e0766cL;
+       0x3fefbcdb8ffc5d8bL; 0x3fe8a1b4a6202f2aL; 0x3fe7042a90ab4cbbL; 0x3feb3344e87d7cc0L |];
+  check_float "float_pos" Rng.float_pos
+    [| 0x3fe85d2dce4dd2edL; 0x3fe2aacc2beeebf8L; 0x3fe5d6a766818208L; 0x3fd29a76e61cebe4L;
+       0x3fe9a1fdb52600d9L; 0x3fd4920219692d0aL; 0x3fe6c1bd877e5b11L; 0x3fec16ab4d172ccfL |]
+
 let () =
   ignore checkf;
   Alcotest.run "rng"
@@ -200,5 +287,12 @@ let () =
           Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
           Alcotest.test_case "jump" `Quick test_jump_changes_state;
           Alcotest.test_case "pp stable" `Quick test_pp_stable;
+          Alcotest.test_case "pin of_seed" `Quick test_pin_of_seed;
+          Alcotest.test_case "pin of_seed_pair" `Quick test_pin_of_seed_pair;
+          Alcotest.test_case "pin split" `Quick test_pin_split;
+          Alcotest.test_case "pin jump" `Quick test_pin_jump;
+          Alcotest.test_case "pin copy and pp" `Quick test_pin_copy_pp;
+          Alcotest.test_case "pin int_below" `Quick test_pin_int_below;
+          Alcotest.test_case "pin float and float_pos" `Quick test_pin_floats;
         ] );
     ]
