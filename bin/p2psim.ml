@@ -806,7 +806,8 @@ let replicated b { reps; seed; jobs; on_error; rep_timeout; tel; _ } =
       ~hist:{ Runner.lo = 0.0; hi = 400.0; bins = 20 }
       ~metrics:b.metrics ~master_seed:seed ~replications:reps
       (fun ~rng ~index:_ ->
-        let until ~time:_ ~n:_ = Runner.deadline_exceeded () in
+        let poll = Runner.deadline_poll () in
+        let until ~time:_ ~n:_ = poll () in
         let r = b.run ~until:(Some until) ~probe:Probe.none ~rng in
         Progress.add_events progress r.events;
         Runner.rep ~flagged:r.truncated ~obs:[| r.values.(0) |] r.values)

@@ -142,9 +142,10 @@ let cell_aggregate ?jobs ?timeout_s ?flight_dir (spec : Spec.t) (cell : Spec.cel
           }
         in
         fun ~rng ~probe ->
+          let poll = Runner.deadline_poll () in
           let stats =
             Sim_coded.run ~rng ~probe
-              ~until:(fun ~time:_ ~n:_ -> Runner.deadline_exceeded ())
+              ~until:(fun ~time:_ ~n:_ -> poll ())
               config ~horizon:spec.horizon
           in
           if stats.Sim_coded.stopped then raise Runner.Rep_timeout;
@@ -175,9 +176,10 @@ let cell_aggregate ?jobs ?timeout_s ?flight_dir (spec : Spec.t) (cell : Spec.cel
             stats.Sim_markov.samples
         else
           fun ~rng ~probe ->
+            let poll = Runner.deadline_poll () in
             let stats, _ =
               Sim_markov.run ~rng ~probe
-                ~until:(fun ~time:_ ~n:_ -> Runner.deadline_exceeded ())
+                ~until:(fun ~time:_ ~n:_ -> poll ())
                 config ~horizon:spec.horizon
             in
             if stats.Sim_markov.stopped then raise Runner.Rep_timeout;

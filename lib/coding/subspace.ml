@@ -97,8 +97,13 @@ let reduce_xvec t (v : xvec) =
       if c <> 0 then
         Kernel.axpy_into kern ~c:(Kernel.neg kern c) ~x:(Array.unsafe_get t.rows i) ~y:v
     done;
-    let rec first j = if j >= t.k then -1 else if Array.unsafe_get v j <> 0 then j else first (j + 1) in
-    first 0
+    (* A loop, not a local [let rec]: a recursive closure over [t] and
+       [v] would be allocated on every reduce. *)
+    let j = ref 0 in
+    while !j < t.k && Array.unsafe_get v !j = 0 do
+      incr j
+    done;
+    if !j >= t.k then -1 else !j
   end
 
 let contains_xvec t v = reduce_xvec t v < 0
@@ -181,21 +186,13 @@ let blit_row src i (dst : xvec) = Array.blit src.rows.(i) 0 dst 0 src.xw
    is contained.  Returns whether a row was found.  [scratch] is
    clobbered. *)
 let first_uncovered_into ~uploader ~downloader ~scratch (dst : xvec) =
-  let rec go i =
-    if i >= uploader.dim then begin
-      clear_xvec downloader dst;
-      false
-    end
-    else begin
-      blit_row uploader i scratch;
-      if contains_xvec downloader scratch then go (i + 1)
-      else begin
-        blit_row uploader i dst;
-        true
-      end
-    end
-  in
-  go 0
+  let i = ref 0 and found = ref false in
+  while (not !found) && !i < uploader.dim do
+    blit_row uploader !i scratch;
+    if contains_xvec downloader scratch then incr i else found := true
+  done;
+  if !found then blit_row uploader !i dst else clear_xvec downloader dst;
+  !found
 
 (* ---- public Mat.vec API (tests, lattice tooling, cold paths) ---- *)
 

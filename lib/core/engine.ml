@@ -199,6 +199,11 @@ let race l ~until =
     let rate_tm = l.rate_tm and apply_tm = l.apply_tm and sched_tm = l.sched_tm in
     let frun = t.frun in
     let budget = t.max_events in
+    (* The clock lives in a local ref for the race and goes back to the
+       handle when it returns: a local float ref stays unboxed, while
+       every store to the handle's mixed-record [clock] field allocates.
+       Nothing reads [t.clock] while the race runs. *)
+    let clock = ref t.clock in
     let running = ref true in
     while !running do
       let rate_t0 = Hist.tick rate_tm in
@@ -207,7 +212,7 @@ let race l ~until =
       (* An idle model (an emptied shard, a dried-up swarm) never fires:
          its next event is at infinity. *)
       let dt = if total > 0.0 then Dist.exponential rng ~rate:total else infinity in
-      let t_next = t.clock +. dt in
+      let t_next = !clock +. dt in
       let sched = next_scheduled () in
       let toggle = Faults.next_toggle frun in
       if toggle <= t_next && toggle <= until && toggle <= sched && c.events < budget then begin
@@ -216,14 +221,14 @@ let race l ~until =
            Budget-gated so an exhausted run truncates instead of walking
            the rest of the outage schedule. *)
         record_samples_through t m toggle;
-        t.clock <- toggle;
+        clock := toggle;
         Faults.toggle frun ~now:toggle
       end
       else if sched <= t_next && sched <= until then begin
         (* A scheduled event (dwell expiry) beats the race: a time
            barrier, like the toggle, but it consumes event budget. *)
         record_samples_through t m sched;
-        t.clock <- sched;
+        clock := sched;
         c.events <- c.events + 1;
         let s_t0 = Hist.tick sched_tm in
         do_scheduled ~time:sched;
@@ -237,7 +242,7 @@ let race l ~until =
            silently. *)
         if t_next <= until then t.truncated <- true;
         record_samples_through t m until;
-        t.clock <- until;
+        clock := until;
         running := false
       end
       else begin
@@ -247,7 +252,7 @@ let race l ~until =
            Equivalent because both inner loops test the same bounds. *)
         if t.next_sample <= t_next || (t.probing && t.next_probe <= t_next) then
           record_samples_through t m t_next;
-        t.clock <- t_next;
+        clock := t_next;
         c.events <- c.events + 1;
         let u = Rng.float rng *. total in
         let a_t0 = Hist.tick apply_tm in
@@ -255,7 +260,8 @@ let race l ~until =
         Hist.tock apply_tm a_t0;
         if t.stop_requested then running := false
       end
-    done
+    done;
+    t.clock <- !clock
   end
 
 let default_grid horizon = Float.max (horizon /. 200.0) 1e-9

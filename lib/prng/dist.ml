@@ -1,4 +1,4 @@
-let exponential rng ~rate =
+let[@inline] exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
   -.log (Rng.float_pos rng) /. rate
 

@@ -23,6 +23,16 @@ let deadline_key : float Domain.DLS.key = Domain.DLS.new_key (fun () -> infinity
 
 let deadline_exceeded () = Clock.now_s () > Domain.DLS.get deadline_key
 
+(* Simulators call [until] after every state change, and one
+   [deadline_exceeded] (a clock read plus a DLS lookup) costs as much as
+   a cheap event.  A poller reads it on every 1024th call only: a stop
+   lands at most 1023 events late. *)
+let deadline_poll () =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    !calls land 1023 = 0 && deadline_exceeded ()
+
 type timing = {
   wall_s : float;
   jobs : int;

@@ -69,6 +69,13 @@ val deadline_exceeded : unit -> bool
     and bail out, typically by raising {!Rep_timeout}.  A thunk that
     never polls still gets its late result discarded post hoc. *)
 
+val deadline_poll : unit -> unit -> bool
+(** [deadline_poll ()] is a fresh amortised {!deadline_exceeded}: the
+    poller it returns checks the watchdog on every 1024th call and
+    answers [false] on the others, so a per-event [until] predicate
+    reads the clock once per 1024 events.  Make one poller per
+    replication attempt. *)
+
 type timing = {
   wall_s : float;  (** wall-clock seconds for the whole sweep *)
   jobs : int;  (** domains actually used (including the caller's) *)

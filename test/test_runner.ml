@@ -431,6 +431,35 @@ let test_rep_timeout_cooperative_poll () =
   Alcotest.(check bool) "no watchdog -> deadline never fires" true
     (not (Runner.deadline_exceeded ()))
 
+let test_rep_timeout_polled_sim () =
+  (* The amortised poller as the simulators use it: a Sim_markov run
+     whose horizon is far out of reach stops through its [until]
+     predicate soon after the watchdog expires, and the replication
+     ends as Rep_timeout.  The event cap only bounds a broken poller:
+     a run that hits it comes back truncated, not stopped. *)
+  let stopped = Atomic.make false in
+  let res, timing =
+    Runner.run_map ~jobs:1 ~on_error:Runner.Skip ~rep_timeout_s:0.02 ~master_seed:1
+      ~replications:1
+      (fun ~rng ~index:_ ->
+        let poll = Runner.deadline_poll () in
+        let stats, _ =
+          Sim_markov.run ~rng ~max_events:50_000_000
+            ~until:(fun ~time:_ ~n:_ -> poll ())
+            (Sim_markov.default_config stable_params) ~horizon:1e9
+        in
+        if stats.stopped then begin
+          Atomic.set stopped true;
+          raise Runner.Rep_timeout
+        end;
+        stats.events)
+  in
+  Alcotest.(check bool) "run stopped by the poller" true (Atomic.get stopped);
+  Alcotest.(check bool) "no value kept" true (res.(0) = None);
+  match timing.failures with
+  | [ f ] -> Alcotest.(check bool) "Rep_timeout" true (f.error = Runner.Rep_timeout)
+  | _ -> Alcotest.fail "expected one failure"
+
 let test_rep_timeout_validation () =
   List.iter
     (fun bad ->
@@ -490,6 +519,7 @@ let () =
           Alcotest.test_case "retry gets fresh watchdog" `Quick
             test_rep_timeout_retry_gets_fresh_watchdog;
           Alcotest.test_case "cooperative poll" `Quick test_rep_timeout_cooperative_poll;
+          Alcotest.test_case "polled simulator" `Quick test_rep_timeout_polled_sim;
           Alcotest.test_case "validation" `Quick test_rep_timeout_validation;
         ] );
       ( "cross-implementation",
