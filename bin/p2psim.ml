@@ -112,12 +112,12 @@ let resolve_jobs jobs = if jobs <= 0 then Runner.default_jobs () else jobs
 
 let shards_arg =
   let doc =
-    "Partition the swarm itself into $(docv) shards (by arrival-class hash) and run their \
-     event loops concurrently, resolving cross-shard contacts through barrier messages \
-     (DESIGN §17). 1 = the classic single-loop simulator, bit-identical to previous \
+    "With --agent, partition the swarm itself into $(docv) shards (by arrival-class hash) and \
+     run their event loops concurrently, resolving cross-shard contacts through barrier \
+     messages (DESIGN §17). 1 = the classic single-loop simulator, bit-identical to previous \
      releases. For a fixed shard count the run is deterministic — repeated invocations and \
      every --jobs value produce identical output — but trajectories differ between shard \
-     counts. Requires --reps 1."
+     counts. Requires --reps 1. The Markov simulator runs unsharded only."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"S" ~doc)
 
@@ -585,7 +585,7 @@ type backend = {
   commentary : unit -> unit;
 }
 
-(* A swarm backend's sharded run: its outcome and the sharding rows. *)
+(* The agent backend's sharded run: its outcome and the sharding rows. *)
 type sharded_runner =
   probes:(int -> Probe.t) -> shards:int -> jobs:int -> seed:int -> outcome * (string * string) list
 
@@ -655,10 +655,9 @@ let swarm_rows ~events ~arrivals ~transfers ~departures ~time_avg_n ~max_n ~fina
     ("final N", string_of_int final_n);
   ]
 
-(* The swarm backends return the backend and its sharded runner. *)
-let markov_backend ?sync_every (config : Sim_markov.config) { max_events; horizon; _ } =
+let markov_backend (config : Sim_markov.config) { max_events; horizon; _ } =
   let faults = config.faults in
-  let outcome ~visits (s : Sim_markov.stats) =
+  let outcome (s : Sim_markov.stats) =
     outcome ~faults ~events:s.events ~truncated:s.truncated ~samples:s.samples
       ~fault_counts:(s.outage_time, s.aborted_peers, s.lost_transfers)
       ~detail:(verdict_line ~truncated:s.truncated s.samples)
@@ -666,28 +665,20 @@ let markov_backend ?sync_every (config : Sim_markov.config) { max_events; horizo
          float_of_int s.departures |]
       (swarm_rows ~events:s.events ~arrivals:s.arrivals ~transfers:s.transfers
          ~departures:s.departures ~time_avg_n:s.time_avg_n ~max_n:s.max_n ~final_n:s.final_n
-      @ [ (visits, string_of_int s.visits_to_empty) ])
+      @ [ ("visits to empty", string_of_int s.visits_to_empty) ])
   in
-  ( {
-      metrics = metric_names faults swarm_metrics;
-      run =
-        (fun ~until ~probe ~rng ->
-          let s, _ = Sim_markov.run ~probe ?max_events ?until ~rng config ~horizon in
-          if s.stopped then raise Runner.Rep_timeout;
-          outcome ~visits:"visits to empty" s);
-      commentary = (fun () -> report_effective_verdict config.params faults);
-    },
-    fun ~probes ~shards ~jobs ~seed ->
-      let s, _, (r : Sim_markov.shard_report) =
-        Sim_markov.run_sharded_seeded ~probes ?sync_every ?max_events ~jobs ~shards ~seed config
-          ~horizon
-      in
-      ( outcome ~visits:"visits to empty (barrier-sampled)" s,
-        sharding_rows ~windows:r.windows ~messages:r.cross_messages ~events:r.shard_events
-          ~final_n:r.shard_final_n ) )
+  {
+    metrics = metric_names faults swarm_metrics;
+    run =
+      (fun ~until ~probe ~rng ->
+        let s, _ = Sim_markov.run ~probe ?max_events ?until ~rng config ~horizon in
+        if s.stopped then raise Runner.Rep_timeout;
+        outcome s);
+    commentary = (fun () -> report_effective_verdict config.params faults);
+  }
 
 (* One class, or a labelled class table: [labels] adds the per-class
-   table to the report. *)
+   table to the report.  Returns the backend and its sharded runner. *)
 let agent_backend ?sync_every ?(labels = []) (config : Sim_agent.config)
     { max_events; horizon; _ } =
   let faults = config.faults in
@@ -940,15 +931,21 @@ let simulate_cmd =
   in
   let run params agent policy csv shards sync_every o =
     let faults = o.faults in
-    let backend, run_sharded =
-      if agent then agent_backend ?sync_every { (Sim_agent.default_config params) with policy; faults } o
-      else markov_backend ?sync_every { (Sim_markov.default_config params) with policy; faults } o
-    in
     if shards < 1 then usage_error "--shards must be >= 1";
+    if shards > 1 && not agent then
+      usage_error "--shards > 1 requires --agent (the Markov simulator runs unsharded)";
     if shards > 1 && o.reps > 1 then
       usage_error "--shards requires --reps 1 (shard one giant run, or replicate unsharded)";
-    if shards > 1 then sharded backend run_sharded o ~shards ~csv
-    else drive backend o ~k:params.k ?csv ()
+    if agent then begin
+      let backend, run_sharded =
+        agent_backend ?sync_every { (Sim_agent.default_config params) with policy; faults } o
+      in
+      if shards > 1 then sharded backend run_sharded o ~shards ~csv
+      else drive backend o ~k:params.k ?csv ()
+    end
+    else
+      let backend = markov_backend { (Sim_markov.default_config params) with policy; faults } o in
+      drive backend o ~k:params.k ?csv ()
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the exact stochastic simulation")
     Term.(const run $ params_term $ agent_arg $ policy_arg ~default:Policy.random_useful

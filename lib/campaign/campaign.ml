@@ -160,30 +160,15 @@ let cell_aggregate ?jobs ?timeout_s ?flight_dir (spec : Spec.t) (cell : Spec.cel
             faults = spec.faults;
           }
         in
-        if spec.shards > 1 then
-          (* One giant sharded run per cell (the spec validator pinned
-             reps = 1).  The cell's domains go to the shard windows, not
-             to replications; the flight recorder, being per-domain
-             state, rides shard 0 only (the clockwork shard). *)
-          fun ~rng ~probe ->
-            let stats, _, _ =
-              Sim_markov.run_sharded
-                ~probes:(fun i -> if i = 0 then probe else Probe.none)
-                ?jobs ~should_stop:Runner.deadline_exceeded ~shards:spec.shards ~rng config
-                ~horizon:spec.horizon
-            in
-            if stats.Sim_markov.stopped then raise Runner.Rep_timeout;
-            stats.Sim_markov.samples
-        else
-          fun ~rng ~probe ->
-            let poll = Runner.deadline_poll () in
-            let stats, _ =
-              Sim_markov.run ~rng ~probe
-                ~until:(fun ~time:_ ~n:_ -> poll ())
-                config ~horizon:spec.horizon
-            in
-            if stats.Sim_markov.stopped then raise Runner.Rep_timeout;
-            stats.Sim_markov.samples
+        fun ~rng ~probe ->
+          let poll = Runner.deadline_poll () in
+          let stats, _ =
+            Sim_markov.run ~rng ~probe
+              ~until:(fun ~time:_ ~n:_ -> poll ())
+              config ~horizon:spec.horizon
+          in
+          if stats.Sim_markov.stopped then raise Runner.Rep_timeout;
+          stats.Sim_markov.samples
   in
   (match flight_dir with
   | Some dir when not (Sys.file_exists dir) -> (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())

@@ -351,7 +351,7 @@ type 'msg shard_slot = {
 }
 
 let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 200_000_000)
-    ?sync_every ?(jobs = 1) ?should_stop ~name ~rng ~faults ~horizon ~nshards build =
+    ?sync_every ?(jobs = 1) ~name ~rng ~faults ~horizon ~nshards build =
   if nshards < 2 then
     invalid_arg "Engine.drive_sharded: nshards must be >= 2 (1 shard = the unsharded engine)";
   let sample_every = Option.value sample_every ~default:(default_grid horizon) in
@@ -396,8 +396,6 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
   Array.iter (fun s -> record_samples_through s.sl_loop.h s.sl_loop.m s.sl_loop.h.start_time) slots;
   let populations = Array.make nshards 0 in
   let windows = ref 0 in
-  let stopped = ref false in
-  let final_time = ref horizon in
   (* Window loop: parallel shard windows, then a sequential barrier. *)
   let w = ref 1 in
   let continue_ = ref true in
@@ -423,21 +421,15 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
     incr windows;
     Array.iteri (fun i s -> populations.(i) <- s.sl_loop.m.population ()) slots;
     Array.iter (fun s -> s.sl_model.sh_sync ~time:wend ~populations) slots;
-    (match should_stop with
-    | Some f when f () ->
-        stopped := true;
-        final_time := wend;
-        continue_ := false
-    | _ -> if wend >= horizon then continue_ := false else incr w)
+    if wend >= horizon then continue_ := false else incr w
   done;
-  let tend = !final_time in
   let handles = Array.map (fun s -> s.sl_loop.h) slots in
   Array.iter
     (fun s ->
       let h = s.sl_loop.h in
-      Timeavg.close h.avg ~time:tend;
-      s.sl_loop.m.finish ~time:tend;
-      Faults.finish h.frun ~now:tend)
+      Timeavg.close h.avg ~time:horizon;
+      s.sl_loop.m.finish ~time:horizon;
+      Faults.finish h.frun ~now:horizon)
     slots;
   (* Merge.  Every shard walked the same sampling grid from 0 to the
      final time, so the per-shard sample arrays are pointwise summable;
@@ -464,7 +456,7 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
   let max_n = Array.fold_left (fun m h -> Int.max m h.counters.max_n) grid_max handles in
   let stats =
     {
-      final_time = tend;
+      final_time = horizon;
       events = sum (fun c -> c.events);
       arrivals = sum (fun c -> c.arrivals);
       transfers = sum (fun c -> c.transfers);
@@ -474,7 +466,7 @@ let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 2
       max_n;
       final_n;
       truncated = Array.exists (fun (h : t) -> h.truncated) handles;
-      stopped = !stopped;
+      stopped = false;
       outage_time = Faults.outage_time handles.(0).frun;
       aborted_peers = sum (fun c -> c.aborted);
       lost_transfers = sum (fun c -> c.lost);

@@ -258,7 +258,6 @@ val drive_sharded :
   ?max_events:int ->
   ?sync_every:float ->
   ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
   name:string ->
   rng:P2p_prng.Rng.t ->
   faults:Faults.t ->
@@ -284,10 +283,10 @@ val drive_sharded :
     [horizon /. 200.] (the sample-grid default); [max_events] is a
     global budget split evenly across shards — a shard that exhausts
     its share freezes (truncated) while the others continue.
-    [jobs] caps the domains used per window (default 1 = inline);
-    [should_stop], polled at each barrier, ends the run early with
-    [stopped] set (the campaign watchdog hook).  The outage clockwork
-    runs on shard 0 only; churn and loss draws are per-shard.
+    [jobs] caps the domains used per window (default 1 = inline).
+    The run always reaches [horizon], so [stopped] is never set.  The
+    outage clockwork runs on shard 0 only; churn and loss draws are
+    per-shard.
     @raise Invalid_argument if [nshards < 2]. *)
 
 (** {1 The continuous (fluid) model interface}

@@ -33,9 +33,8 @@ type stats = {
   final_time : float;
   events : int;
       (** state changes (arrivals, transfers, departures), plus uploads
-          lost to a fault and, in sharded runs, cross-shard contact
-          sends and deliveries.  Silent contacts are not simulated, so
-          they are not events; the [max_events] budget counts these. *)
+          lost to a fault.  Silent contacts are not simulated, so they
+          are not events; the [max_events] budget counts these. *)
   arrivals : int;
   transfers : int;  (** successful piece uploads *)
   completions : int;  (** peers reaching the full collection *)
@@ -81,10 +80,8 @@ val run :
 
     [probe] (default {!P2p_obs.Probe.none}) attaches telemetry: event
     tracing (arrivals, contacts, transfers, departures, seed toggles;
-    every traced contact is useful except on a delivered cross-shard
-    message, the one contact resolved without knowing its downloader),
-    periodic swarm samples on the probe's own sim-time grid, and phase
-    profiling.  The probe only ever {e observes} — it never draws from
+    every traced contact is useful), periodic swarm samples on the
+    probe's own sim-time grid, and phase profiling.  The probe only ever {e observes} — it never draws from
     [rng] or touches the state — so any run with [probe = Probe.none]
     is bit-identical to one with telemetry attached (a regression test
     pins this). *)
@@ -101,60 +98,3 @@ val run_seeded :
   horizon:float ->
   stats * State.t
 (** Convenience wrapper constructing the RNG from an integer seed. *)
-
-(** {1 Sharded runs}
-
-    The swarm partitioned across shards and driven by
-    {!Engine.drive_sharded}: λ/S arrivals per shard, local contact
-    initiation, global downloader choice with cross-shard contacts
-    resolved at sync barriers.  Each shard splits its contact rate by
-    the visible global population [N_vis]: useful local contacts at
-    [μ·M/N_vis] (and [U_s·(n − x_F)/N_vis] on shard 0), remote ones at
-    [μ·n·(N_vis − n)/N_vis] (and [U_s·(N_vis − n)/N_vis]); only the
-    remote ones can still turn out silent, on delivery.  See DESIGN §17 for the protocol and the
-    determinism contract (reproducible for a fixed shard count and any
-    [jobs]; trajectories change when the shard count changes). *)
-
-type shard_report = {
-  shards : int;
-  windows : int;  (** sync barriers executed (0 for the 1-shard path) *)
-  cross_messages : int;  (** contacts that crossed a shard boundary *)
-  shard_events : int array;  (** per-shard event counts *)
-  shard_final_n : int array;
-  shard_states : State.t array;  (** final per-shard partitions *)
-}
-
-val run_sharded :
-  ?probes:(int -> P2p_obs.Probe.t) ->
-  ?sample_every:float ->
-  ?max_events:int ->
-  ?sync_every:float ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  shards:int ->
-  rng:P2p_prng.Rng.t ->
-  config ->
-  horizon:float ->
-  stats * State.t * shard_report
-(** Simulate with the swarm split across [shards] shards, using up to
-    [jobs] domains per sync window (default 1).  [shards = 1] {e is}
-    the unsharded path: it dispatches to {!run} and is bit-identical to
-    it.  For [shards >= 2], [visits_to_empty] is sampled at sync
-    barriers (the sharded loop has no global per-event view) and the
-    returned state is the union of the shard partitions.  [probes]
-    supplies one probe per shard; [should_stop], polled at barriers,
-    ends the run with [stopped] set (the campaign watchdog hook). *)
-
-val run_sharded_seeded :
-  ?probes:(int -> P2p_obs.Probe.t) ->
-  ?sample_every:float ->
-  ?max_events:int ->
-  ?sync_every:float ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  shards:int ->
-  seed:int ->
-  config ->
-  horizon:float ->
-  stats * State.t * shard_report
-(** {!run_sharded} with the RNG constructed from an integer seed. *)

@@ -39,7 +39,6 @@ let grid_spec ?(steps = 10) ?(horizon = 40.0) ?(reps = 1) () =
     policy = "random";
     backend = "markov";
     q = 16;
-    shards = 1;
     faults = Faults.none;
     mode =
       Spec.Grid
@@ -130,41 +129,34 @@ let test_markov_encoding_unchanged () =
   | Error m -> Alcotest.fail m
   | Ok spec ->
       Alcotest.(check string) "default backend" "markov" spec.Spec.backend;
-      Alcotest.(check int) "default q" 16 spec.Spec.q;
-      Alcotest.(check int) "default shards" 1 spec.Spec.shards
+      Alcotest.(check int) "default q" 16 spec.Spec.q
 
-(* Sharded cells: the shards field round-trips, changes the hash only
-   when non-default, and the validator enforces the markov + reps = 1
-   envelope. *)
+(* Sharded markov cells were removed.  A spec that still asks for them
+   must fail to load, naming the field, so an old sharded campaign
+   cannot resume as unsharded cells; an explicit "shards": 1 is the
+   plain spec, hash included. *)
 let test_sharded_spec () =
   let base = grid_spec ~steps:2 ~reps:1 () in
-  let sharded = { base with Spec.shards = 2 } in
-  let json = Spec.to_json sharded in
-  Alcotest.(check bool) "shards encoded" true
-    (Json.member "shards" json = Some (Json.Int 2));
-  (match Spec.of_json json with
-  | Error m -> Alcotest.failf "sharded roundtrip rejected: %s" m
-  | Ok spec' ->
-      Alcotest.(check string) "hash stable" (Spec.hash sharded) (Spec.hash spec');
-      Alcotest.(check bool) "shards distinguishes hashes" true
-        (Spec.hash sharded <> Spec.hash base));
-  (match Spec.of_json (Spec.to_json { sharded with Spec.reps = 4 }) with
-  | Ok _ -> Alcotest.fail "sharded spec with reps > 1 accepted"
-  | Error _ -> ());
-  match Spec.of_json (Spec.to_json { (coded_spec ()) with Spec.shards = 2 }) with
-  | Ok _ -> Alcotest.fail "sharded coded spec accepted"
-  | Error _ -> ()
-
-let test_sharded_campaign_runs () =
-  with_temp_dir (fun dir ->
-      let spec = { (grid_spec ~steps:2 ~reps:1 ~horizon:40.0 ()) with Spec.shards = 2 } in
-      let o = run_clean (dir / "sharded") spec in
-      Alcotest.(check bool) "sharded campaign complete" true o.Campaign.complete;
-      Alcotest.(check int) "all cells evaluated" 4 o.Campaign.cells_done;
-      ignore (run_clean (dir / "again") spec);
-      Alcotest.(check string) "sharded store reproducible"
-        (read_file (Store.results_path ~dir:(dir / "sharded")))
-        (read_file (Store.results_path ~dir:(dir / "again"))))
+  let with_shards n =
+    match Spec.to_json base with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("shards", Json.Int n) ])
+    | _ -> Alcotest.fail "spec encoding is not an object"
+  in
+  (match Spec.of_json (with_shards 2) with
+  | Ok _ -> Alcotest.fail "sharded spec accepted"
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the field: %s" msg)
+        true
+        (let rec contains i =
+           i + 8 <= String.length msg
+           && (String.sub msg i 8 = "\"shards\"" || contains (i + 1))
+         in
+         contains 0));
+  match Spec.of_json (with_shards 1) with
+  | Error m -> Alcotest.failf "shards = 1 rejected: %s" m
+  | Ok spec ->
+      Alcotest.(check string) "shards = 1 hashes as plain" (Spec.hash base) (Spec.hash spec)
 
 let test_coded_spec_roundtrip () =
   let spec = coded_spec () in
@@ -626,8 +618,6 @@ let () =
         ] );
       ( "coded backend",
         [ Alcotest.test_case "grid campaign runs" `Quick test_coded_campaign_runs ] );
-      ( "sharded cells",
-        [ Alcotest.test_case "grid campaign runs" `Quick test_sharded_campaign_runs ] );
       ( "cells",
         [
           Alcotest.test_case "grid row-major" `Quick test_grid_cells_row_major;

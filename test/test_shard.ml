@@ -1,4 +1,5 @@
-(* The sharded-engine contract (DESIGN §17):
+(* The sharded-engine contract (DESIGN §17), checked on Sim_agent, the
+   one sharded model:
    - 1 shard ≡ the unsharded path, bit-identical (the goldens' anchor);
    - an N-shard run is deterministic for a fixed shard count: two
      invocations agree bitwise, and the jobs count (domains per window)
@@ -18,9 +19,6 @@ let params ?(lambda = 2.0) ?(us = 1.0) ?(gamma = 2.0) () =
   Params.make ~k:3 ~us ~mu:1.0 ~gamma
     ~arrivals:[ (PS.empty, lambda); (PS.singleton 0, 0.5) ]
 
-let markov_config ?(faults = Faults.none) ?(initial = []) () =
-  { (Sim_markov.default_config (params ())) with initial; faults }
-
 let agent_config ?(faults = Faults.none) ?(initial = []) () =
   { (Sim_agent.default_config (params ())) with Sim_agent.initial; faults }
 
@@ -35,7 +33,7 @@ let check_samples name a b =
       Alcotest.(check int) (Printf.sprintf "%s: grid value %d" name i) n n')
     a
 
-let check_markov_stats name (a : Sim_markov.stats) (b : Sim_markov.stats) =
+let check_agent_stats name (a : Sim_agent.stats) (b : Sim_agent.stats) =
   Alcotest.(check bool) (name ^ ": final_time") true (Float.equal a.final_time b.final_time);
   Alcotest.(check int) (name ^ ": events") a.events b.events;
   Alcotest.(check int) (name ^ ": arrivals") a.arrivals b.arrivals;
@@ -48,100 +46,71 @@ let check_markov_stats name (a : Sim_markov.stats) (b : Sim_markov.stats) =
   Alcotest.(check int) (name ^ ": aborted") a.aborted_peers b.aborted_peers;
   Alcotest.(check int) (name ^ ": lost") a.lost_transfers b.lost_transfers;
   Alcotest.(check bool) (name ^ ": outage") true (Float.equal a.outage_time b.outage_time);
+  Alcotest.(check bool) (name ^ ": one-club") true
+    (Float.equal a.one_club_time_fraction b.one_club_time_fraction);
+  Alcotest.(check int) (name ^ ": sojourns") a.sojourn_count b.sojourn_count;
+  Alcotest.(check bool) (name ^ ": mean sojourn") true
+    (Float.equal a.mean_sojourn b.mean_sojourn
+    || (Float.is_nan a.mean_sojourn && Float.is_nan b.mean_sojourn));
   check_samples name a.samples b.samples
 
 (* ---- 1 shard ≡ unsharded ---- *)
-
-let test_one_shard_markov_golden () =
-  let config = markov_config ~faults:churny_faults ~initial:[ (PS.empty, 5) ] () in
-  let base, base_state = Sim_markov.run_seeded ~seed:42 config ~horizon:80.0 in
-  let sh, sh_state, report =
-    Sim_markov.run_sharded_seeded ~shards:1 ~seed:42 config ~horizon:80.0
-  in
-  check_markov_stats "markov shards=1" base sh;
-  Alcotest.(check bool) "markov shards=1: state" true (State.equal base_state sh_state);
-  Alcotest.(check int) "markov shards=1: visits" base.visits_to_empty sh.visits_to_empty;
-  Alcotest.(check int) "report events" base.events report.Sim_markov.shard_events.(0)
 
 let test_one_shard_agent_golden () =
   let config = agent_config ~faults:churny_faults ~initial:[ (PS.singleton 1, 4) ] () in
   let base, base_state = Sim_agent.run_seeded ~seed:7 config ~horizon:60.0 in
   let sh, sh_state, _ = Sim_agent.run_sharded_seeded ~shards:1 ~seed:7 config ~horizon:60.0 in
-  Alcotest.(check int) "agent shards=1: events" base.Sim_agent.events sh.Sim_agent.events;
-  Alcotest.(check bool) "agent shards=1: time_avg_n" true
-    (Float.equal base.Sim_agent.time_avg_n sh.Sim_agent.time_avg_n);
-  Alcotest.(check bool) "agent shards=1: one-club fraction" true
-    (Float.equal base.Sim_agent.one_club_time_fraction sh.Sim_agent.one_club_time_fraction);
-  Alcotest.(check bool) "agent shards=1: sojourn" true
-    (Float.equal base.Sim_agent.mean_sojourn sh.Sim_agent.mean_sojourn
-    || (Float.is_nan base.Sim_agent.mean_sojourn && Float.is_nan sh.Sim_agent.mean_sojourn));
-  Alcotest.(check bool) "agent shards=1: state" true (State.equal base_state sh_state);
-  check_samples "agent shards=1" base.Sim_agent.samples sh.Sim_agent.samples
+  check_agent_stats "agent shards=1" base sh;
+  Alcotest.(check bool) "agent shards=1: state" true (State.equal base_state sh_state)
 
 (* ---- N-shard determinism ---- *)
 
-let run_markov_sharded ?jobs () =
-  let config = markov_config ~faults:churny_faults ~initial:[ (PS.empty, 12) ] () in
-  Sim_markov.run_sharded_seeded ?jobs ~shards:3 ~seed:11 config ~horizon:100.0
+let run_agent_sharded ?jobs () =
+  let config = agent_config ~faults:churny_faults ~initial:[ (PS.empty, 10) ] () in
+  Sim_agent.run_sharded_seeded ?jobs ~shards:4 ~seed:5 config ~horizon:80.0
 
-let test_nshard_markov_deterministic () =
-  let a, sa, ra = run_markov_sharded () in
-  let b, sb, rb = run_markov_sharded () in
-  check_markov_stats "markov shards=3 rerun" a b;
+let test_nshard_agent_deterministic () =
+  let a, sa, ra = run_agent_sharded () in
+  let b, sb, rb = run_agent_sharded () in
+  check_agent_stats "agent shards=4 rerun" a b;
   Alcotest.(check bool) "state" true (State.equal sa sb);
-  Alcotest.(check int) "messages" ra.Sim_markov.cross_messages rb.Sim_markov.cross_messages;
-  Alcotest.(check (array int)) "per-shard events" ra.Sim_markov.shard_events
-    rb.Sim_markov.shard_events;
+  Alcotest.(check int) "messages" ra.Sim_agent.cross_messages rb.Sim_agent.cross_messages;
+  Alcotest.(check (array int)) "per-shard events" ra.Sim_agent.shard_events
+    rb.Sim_agent.shard_events;
   (* The merged max_n covers every shard's own per-event peak, not only
      the summed grid.  Take a stable swarm started empty on a grid of
      just the endpoints: per-shard probes on a fine sim-time grid
      (observers only) see peaks the merge must still bound.  This run
-     ends with 2 peers, below every shard's peak, so the grid alone
-     would miss them. *)
+     ends below every shard's peak, so the grid alone would miss them. *)
   let peaks = Array.make 3 0 in
   let probes i =
     P2p_obs.Probe.make ~interval:0.05
       ~on_sample:(fun s -> peaks.(i) <- Int.max peaks.(i) s.P2p_obs.Probe.n)
       ()
   in
-  let stable = { (markov_config ~faults:churny_faults ()) with params = params ~lambda:0.5 () } in
+  let stable = { (agent_config ~faults:churny_faults ()) with params = params ~lambda:0.5 () } in
   let c, _, _ =
-    Sim_markov.run_sharded_seeded ~probes ~sample_every:200.0 ~shards:3 ~seed:1 stable
+    Sim_agent.run_sharded_seeded ~probes ~sample_every:200.0 ~shards:3 ~seed:1 stable
       ~horizon:200.0
   in
+  let peak = Array.fold_left Int.max 0 peaks in
   Alcotest.(check bool)
-    (Printf.sprintf "max_n %d >= per-shard peaks %s" c.Sim_markov.max_n
+    (Printf.sprintf "final N %d < per-shard peak %d" c.Sim_agent.final_n peak)
+    true (c.Sim_agent.final_n < peak);
+  Alcotest.(check bool)
+    (Printf.sprintf "max_n %d >= per-shard peaks %s" c.Sim_agent.max_n
        (String.concat "," (Array.to_list (Array.map string_of_int peaks))))
-    true
-    (c.Sim_markov.max_n >= Array.fold_left Int.max 0 peaks)
-
-let test_nshard_markov_jobs_invariant () =
-  let a, sa, ra = run_markov_sharded ~jobs:1 () in
-  let b, sb, rb = run_markov_sharded ~jobs:3 () in
-  check_markov_stats "markov shards=3 jobs" a b;
-  Alcotest.(check bool) "state" true (State.equal sa sb);
-  Alcotest.(check (array int)) "per-shard events" ra.Sim_markov.shard_events
-    rb.Sim_markov.shard_events;
-  Alcotest.(check (array int)) "per-shard final n" ra.Sim_markov.shard_final_n
-    rb.Sim_markov.shard_final_n
-
-let run_agent_sharded ?jobs () =
-  let config = agent_config ~faults:churny_faults ~initial:[ (PS.empty, 10) ] () in
-  Sim_agent.run_sharded_seeded ?jobs ~shards:4 ~seed:5 config ~horizon:80.0
+    true (c.Sim_agent.max_n >= peak)
 
 let test_nshard_agent_jobs_invariant () =
   let a, sa, ra = run_agent_sharded ~jobs:1 () in
   let b, sb, rb = run_agent_sharded ~jobs:4 () in
-  Alcotest.(check int) "events" a.Sim_agent.events b.Sim_agent.events;
-  Alcotest.(check int) "transfers" a.Sim_agent.transfers b.Sim_agent.transfers;
-  Alcotest.(check bool) "time_avg_n" true
-    (Float.equal a.Sim_agent.time_avg_n b.Sim_agent.time_avg_n);
-  Alcotest.(check bool) "one-club" true
-    (Float.equal a.Sim_agent.one_club_time_fraction b.Sim_agent.one_club_time_fraction);
+  check_agent_stats "agent shards=4 jobs" a b;
   Alcotest.(check bool) "state" true (State.equal sa sb);
-  check_samples "agent shards=4" a.Sim_agent.samples b.Sim_agent.samples;
   Alcotest.(check (array int)) "per-shard events" ra.Sim_agent.shard_events
-    rb.Sim_agent.shard_events
+    rb.Sim_agent.shard_events;
+  Alcotest.(check (array int)) "per-shard final n" ra.Sim_agent.shard_final_n
+    rb.Sim_agent.shard_final_n
 
 (* ---- partition invariants ---- *)
 
@@ -168,33 +137,6 @@ let test_partition_counts () =
   and mx = Array.fold_left Int.max 0 shares in
   Alcotest.(check bool) "balanced within one per type" true (mx - mn <= List.length initial)
 
-let test_partition_total_population () =
-  (* Every peer owned by exactly one shard after churn, arrivals and
-     departures: per-shard populations sum to the merged state's, and
-     the merged counters balance the population equation. *)
-  let config = markov_config ~faults:churny_faults ~initial:[ (PS.empty, 9) ] () in
-  let stats, merged, report =
-    Sim_markov.run_sharded_seeded ~shards:3 ~seed:23 config ~horizon:120.0
-  in
-  let part_sum = Array.fold_left ( + ) 0 report.Sim_markov.shard_final_n in
-  Alcotest.(check int) "Σ shard populations = merged n" (State.n merged) part_sum;
-  Alcotest.(check int) "stats final_n agrees" stats.Sim_markov.final_n part_sum;
-  let initial_n = 9 in
-  Alcotest.(check int) "population balance"
-    (initial_n + stats.Sim_markov.arrivals - stats.Sim_markov.departures)
-    part_sum;
-  (* The merged state is the disjoint union of the shard states. *)
-  let rebuilt =
-    State.of_counts
-      (List.concat_map State.to_alist (Array.to_list report.Sim_markov.shard_states))
-  in
-  Alcotest.(check bool) "merged = union of shards" true (State.equal merged rebuilt);
-  (* The partition actually ran: more than one shard processed events. *)
-  let active =
-    Array.fold_left (fun a e -> a + if e > 0 then 1 else 0) 0 report.Sim_markov.shard_events
-  in
-  Alcotest.(check bool) "several shards active" true (active >= 2)
-
 let test_agent_partition_population () =
   let config = agent_config ~faults:churny_faults ~initial:[ (PS.empty, 8) ] () in
   let stats, merged, report =
@@ -202,9 +144,15 @@ let test_agent_partition_population () =
   in
   let part_sum = Array.fold_left ( + ) 0 report.Sim_agent.shard_final_n in
   Alcotest.(check int) "Σ shard populations = merged n" (State.n merged) part_sum;
+  Alcotest.(check int) "stats final_n agrees" stats.Sim_agent.final_n part_sum;
   Alcotest.(check int) "population balance"
     (8 + stats.Sim_agent.arrivals - stats.Sim_agent.departures)
-    part_sum
+    part_sum;
+  (* The partition actually ran: more than one shard processed events. *)
+  let active =
+    Array.fold_left (fun a e -> a + if e > 0 then 1 else 0) 0 report.Sim_agent.shard_events
+  in
+  Alcotest.(check bool) "several shards active" true (active >= 2)
 
 (* ---- merge associativity ---- *)
 
@@ -263,9 +211,6 @@ let test_welford_merge_associative () =
 (* ---- engine-level guards ---- *)
 
 let test_run_sharded_rejects_zero_shards () =
-  Alcotest.check_raises "markov shards=0"
-    (Invalid_argument "Sim_markov.run_sharded: shards must be >= 1") (fun () ->
-      ignore (Sim_markov.run_sharded_seeded ~shards:0 ~seed:1 (markov_config ()) ~horizon:1.0));
   Alcotest.check_raises "agent shards=0"
     (Invalid_argument "Sim_agent.run_sharded: shards must be >= 1") (fun () ->
       ignore (Sim_agent.run_sharded_seeded ~shards:0 ~seed:1 (agent_config ()) ~horizon:1.0))
@@ -273,42 +218,37 @@ let test_run_sharded_rejects_zero_shards () =
 let test_sharded_probe_bit_identity () =
   (* A sharded run with per-shard recorders/hists attached takes the
      same draws as a bare one — probes only observe. *)
-  let config = markov_config ~faults:churny_faults () in
-  let bare, bare_state, _ =
-    Sim_markov.run_sharded_seeded ~shards:2 ~seed:9 config ~horizon:60.0
-  in
+  let config = agent_config ~faults:churny_faults () in
+  let bare, bare_state, _ = Sim_agent.run_sharded_seeded ~shards:2 ~seed:9 config ~horizon:60.0 in
   let groups = Array.init 2 (fun _ -> Hist.group ()) in
   let probes i = P2p_obs.Probe.make ~hists:groups.(i) () in
   let probed, probed_state, _ =
-    Sim_markov.run_sharded_seeded ~probes ~shards:2 ~seed:9 config ~horizon:60.0
+    Sim_agent.run_sharded_seeded ~probes ~shards:2 ~seed:9 config ~horizon:60.0
   in
-  check_markov_stats "probed sharded run" bare probed;
+  check_agent_stats "probed sharded run" bare probed;
   Alcotest.(check bool) "state" true (State.equal bare_state probed_state);
-  (* And the per-shard hists saw the shard's contacts. *)
+  (* And the per-shard hists saw the shards' contacts. *)
   let merged = Hist.group () in
   Array.iter (fun g -> Hist.merge_group_into ~into:merged g) groups;
-  let contact = Hist.get merged "sim_markov/contact" in
-  Alcotest.(check bool) "merged contact hist non-empty" true (Hist.count contact >= 0)
+  let contact = Hist.get merged "sim_agent/contact" in
+  Alcotest.(check bool) "merged contact hist non-empty" true (Hist.count contact > 0)
 
 let () =
   Alcotest.run "shard"
     [
       ( "one-shard-identity",
         [
-          Alcotest.test_case "markov golden" `Quick test_one_shard_markov_golden;
           Alcotest.test_case "agent golden" `Quick test_one_shard_agent_golden;
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "markov rerun byte-equal" `Quick test_nshard_markov_deterministic;
-          Alcotest.test_case "markov jobs-invariant" `Quick test_nshard_markov_jobs_invariant;
+          Alcotest.test_case "agent rerun byte-equal" `Quick test_nshard_agent_deterministic;
           Alcotest.test_case "agent jobs-invariant" `Quick test_nshard_agent_jobs_invariant;
           Alcotest.test_case "probe bit-identity" `Quick test_sharded_probe_bit_identity;
         ] );
       ( "partition",
         [
           Alcotest.test_case "initial split is a disjoint union" `Quick test_partition_counts;
-          Alcotest.test_case "markov ownership total" `Quick test_partition_total_population;
           Alcotest.test_case "agent ownership total" `Quick test_agent_partition_population;
         ] );
       ( "merge-associativity",

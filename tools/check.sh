@@ -237,11 +237,13 @@ if [ "${CHECK_OBS:-0}" = "1" ]; then
 fi
 
 # Optional shard smoke: CHECK_SHARD=1 proves the sharded engine's
-# determinism contract end to end through the CLI — two identical
-# 2-shard invocations must be byte-equal, a --jobs change must not
-# alter the output, and --shards 1 must be byte-identical to the plain
-# single-loop simulator (the goldens' anchor).  The --jobs and
-# --shards 1 checks are repeated for the agent backend.
+# determinism contract end to end through the CLI on the agent backend,
+# the one sharded model — two identical 2-shard invocations must be
+# byte-equal, a --jobs change must not alter the output, and --shards 1
+# must be byte-identical to the plain single-loop simulator (the
+# goldens' anchor).  The Markov simulator runs unsharded only:
+# --shards 2 without --agent must be a usage error (exit 2) naming
+# --agent.
 if [ "${CHECK_SHARD:-0}" = "1" ]; then
   out="${CHECK_SHARD_DIR:-_build/shard-smoke}"
   rm -rf "$out"
@@ -250,39 +252,23 @@ if [ "${CHECK_SHARD:-0}" = "1" ]; then
   P2PSIM=_build/default/bin/p2psim.exe
   ARGS="-k 3 --arrive none=2.0 --us 1 --mu 1 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11"
   left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --shards 2 --csv "$out/a.csv" >"$out/a.txt" || {
-    echo "FAIL: first 2-shard run exited non-zero" >&2; exit 1; }
+  timeout "$left" $P2PSIM simulate $ARGS --agent --shards 2 --csv "$out/agent-a.csv" \
+    >"$out/agent-a.txt" || {
+    echo "FAIL: first agent 2-shard run exited non-zero" >&2; exit 1; }
   left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --shards 2 --csv "$out/b.csv" >"$out/b.txt" || {
-    echo "FAIL: second 2-shard run exited non-zero" >&2; exit 1; }
-  # stdout embeds the CSV path ("wrote .../a.csv"), so mask that one
-  # line before comparing — everything else must be byte-identical.
-  sed 's/^wrote .*/wrote CSV/' "$out/a.txt" >"$out/a.norm.txt"
-  sed 's/^wrote .*/wrote CSV/' "$out/b.txt" >"$out/b.norm.txt"
-  cmp "$out/a.csv" "$out/b.csv" && cmp "$out/a.norm.txt" "$out/b.norm.txt" || {
-    echo "FAIL: repeated 2-shard runs are not byte-identical" >&2; exit 1; }
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --shards 2 --jobs 2 --csv "$out/j2.csv" >/dev/null || {
-    echo "FAIL: 2-shard --jobs 2 run exited non-zero" >&2; exit 1; }
-  cmp "$out/a.csv" "$out/j2.csv" || {
-    echo "FAIL: --jobs changed the 2-shard trajectory" >&2; exit 1; }
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --csv "$out/plain.csv" >/dev/null || {
-    echo "FAIL: unsharded run exited non-zero" >&2; exit 1; }
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --shards 1 --csv "$out/s1.csv" >/dev/null || {
-    echo "FAIL: --shards 1 run exited non-zero" >&2; exit 1; }
-  cmp "$out/plain.csv" "$out/s1.csv" || {
-    echo "FAIL: --shards 1 is not byte-identical to the unsharded simulator" >&2; exit 1; }
-  # The agent backend is one model for both loops too: the same --jobs
-  # invariance and --shards 1 anchor must hold with --agent.
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --agent --shards 2 --csv "$out/agent-j1.csv" >/dev/null || {
-    echo "FAIL: agent 2-shard run exited non-zero" >&2; exit 1; }
+  timeout "$left" $P2PSIM simulate $ARGS --agent --shards 2 --csv "$out/agent-b.csv" \
+    >"$out/agent-b.txt" || {
+    echo "FAIL: second agent 2-shard run exited non-zero" >&2; exit 1; }
+  # stdout embeds the CSV path ("wrote .../agent-a.csv"), so mask that
+  # one line before comparing — everything else must be byte-identical.
+  sed 's/^wrote .*/wrote CSV/' "$out/agent-a.txt" >"$out/agent-a.norm.txt"
+  sed 's/^wrote .*/wrote CSV/' "$out/agent-b.txt" >"$out/agent-b.norm.txt"
+  cmp "$out/agent-a.csv" "$out/agent-b.csv" && cmp "$out/agent-a.norm.txt" "$out/agent-b.norm.txt" || {
+    echo "FAIL: repeated agent 2-shard runs are not byte-identical" >&2; exit 1; }
   left=$(remaining)
   timeout "$left" $P2PSIM simulate $ARGS --agent --shards 2 --jobs 2 --csv "$out/agent-j2.csv" >/dev/null || {
     echo "FAIL: agent 2-shard --jobs 2 run exited non-zero" >&2; exit 1; }
-  cmp "$out/agent-j1.csv" "$out/agent-j2.csv" || {
+  cmp "$out/agent-a.csv" "$out/agent-j2.csv" || {
     echo "FAIL: --jobs changed the agent 2-shard trajectory" >&2; exit 1; }
   left=$(remaining)
   timeout "$left" $P2PSIM simulate $ARGS --agent --csv "$out/agent-plain.csv" >/dev/null || {
@@ -292,6 +278,12 @@ if [ "${CHECK_SHARD:-0}" = "1" ]; then
     echo "FAIL: agent --shards 1 run exited non-zero" >&2; exit 1; }
   cmp "$out/agent-plain.csv" "$out/agent-s1.csv" || {
     echo "FAIL: agent --shards 1 is not byte-identical to the unsharded simulator" >&2; exit 1; }
+  left=$(remaining)
+  status=0
+  timeout "$left" $P2PSIM simulate $ARGS --shards 2 >/dev/null 2>"$out/markov-shards.err" || status=$?
+  [ "$status" -eq 2 ] && grep -q -- '--agent' "$out/markov-shards.err" || {
+    echo "FAIL: markov --shards 2 exited $status, expected a usage error (2) naming --agent" >&2
+    exit 1; }
   echo "== shard smoke OK =="
 fi
 
